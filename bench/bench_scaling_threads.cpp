@@ -1,7 +1,7 @@
 // Host-thread scaling of the simulated local-assembly kernel: the warps of
 // a launch are embarrassingly independent (the premise of the paper's GPU
 // offload), so the simulator's execution engine should scale with host
-// threads while staying bit-identical to the serial oracle. This bench
+// threads while staying bit-identical to the one-thread run. This bench
 // sweeps the pool size over the default seeded workload, verifies
 // bit-identity at every point, and records speedup + throughput
 // (MTasks/s, one task = one contig-end warp) as the BENCH baseline.

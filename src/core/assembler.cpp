@@ -265,10 +265,25 @@ std::unique_ptr<WarpExecutionEngine> LocalAssembler::make_engine() const {
 
 AssemblyResult LocalAssembler::run(const AssemblyInput& in,
                                    WarpExecutionEngine* external) const {
+  // Batching reads every mapped read before any task runs, so a malformed
+  // input is rejected here, typed, instead of becoming undefined behaviour.
+  const auto reject = [](const std::string& what) {
+    throw std::invalid_argument("LocalAssembler::run: " + what);
+  };
   if (in.left_reads.size() != in.contigs.size() ||
       in.right_reads.size() != in.contigs.size()) {
-    throw std::invalid_argument(
-        "LocalAssembler::run: read mapping size does not match contigs");
+    reject("read mapping size does not match contigs");
+  }
+  if (in.kmer_len == 0) reject("kmer_len must be > 0");
+  for (const auto* side : {&in.left_reads, &in.right_reads}) {
+    for (const std::vector<std::uint32_t>& ids : *side) {
+      for (const std::uint32_t r : ids) {
+        if (r >= in.reads.size()) {
+          reject("read id " + std::to_string(r) + " out of range (" +
+                 std::to_string(in.reads.size()) + " reads)");
+        }
+      }
+    }
   }
 
   AssemblyResult result;
@@ -287,35 +302,24 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
   const bio::ReadSet rc_reads =
       any_left ? in.reads.reverse_complemented() : bio::ReadSet{};
 
-  // Host-side execution engine (one pool for the whole run, both sides,
-  // all batches). n_threads == 1 keeps the original single-context serial
-  // path as the oracle. Host threading only changes who drives the
-  // simulated warps — every task's result and every merged counter is
-  // bit-identical either way, so the modelled time is too.
-  //
-  // An armed fault plan switches every launch onto the engine's isolated
-  // path (even at one thread, where the engine runs caller-only — equal to
-  // the serial oracle by the context reconfigure-equivalence contract), so
-  // task exceptions quarantine instead of crashing the run.
-  const resilience::FaultPlan* const plan = opts_.fault_plan;
-  const bool armed = plan != nullptr;
-  const unsigned n_threads = resolve_threads(opts_.n_threads);
+  // Every launch runs as one isolated batch on an execution engine (one
+  // pool for the whole run, both sides, all batches): the caller's shared
+  // pool (made by make_engine(), so its configuration matches), or a
+  // run-local one, which at one thread spawns nothing and runs every task
+  // inline. Host threading only changes who drives the simulated warps —
+  // every task's result and every merged counter is bit-identical at
+  // every thread count, so the modelled time is too. A throwing task
+  // quarantines instead of failing the run. A kPoolStart seam has already
+  // degraded the pool at its construction — a pure function of the plan,
+  // so shared and run-local pools degrade identically.
+  const resilience::FaultPlan& plan = opts_.plan();
   std::unique_ptr<WarpExecutionEngine> owned;
-  WarpExecutionEngine* engine = nullptr;
-  if (armed || (n_threads > 1 && in.contigs.size() > 1)) {
-    // Prefer the caller's shared pool (made by make_engine(), so its
-    // configuration matches); otherwise spin up a run-local one. Either
-    // way an armed kPoolStart seam has already degraded the pool at its
-    // construction — a pure function of the plan, so shared and run-local
-    // pools degrade identically.
-    if (external != nullptr) {
-      engine = external;
-    } else {
-      owned = make_engine();
-      engine = owned.get();
-    }
-    result.failures.serial_fallback = engine->degraded();
+  WarpExecutionEngine* engine = external;
+  if (engine == nullptr) {
+    owned = make_engine();
+    engine = owned.get();
   }
+  result.failures.serial_fallback = engine->degraded();
 
   // Observability is strictly read-only: spans and metrics are recorded
   // from counters the run produces anyway, after the deterministic merge,
@@ -399,9 +403,8 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
       // (slots are disjoint — contig independence), while counters and
       // traffic stay here for the deterministic post-barrier merge.
       std::vector<WarpResult> outcomes(n_tasks);
-      const auto process_attempt = [&](std::size_t pos,
-                                       WarpKernelContext& ctx,
-                                       unsigned attempt) {
+      const auto process = [&](std::size_t pos, WarpKernelContext& ctx,
+                               unsigned attempt) {
         WarpResult wr = ctx.run(tasks[pos], attempt);
         bio::ContigExtension& ext =
             result.extensions[batch.contig_ids[pos]];
@@ -415,63 +418,48 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
         }
         outcomes[pos] = std::move(wr);
       };
-      const auto process = [&](std::size_t pos, WarpKernelContext& ctx) {
-        process_attempt(pos, ctx, 0);
-      };
 
       const double launch_t0 =
           tracer != nullptr ? tracer->host_now_us() : 0.0;
       const std::size_t faults_before = result.failures.faults.size();
-      if (armed) {
-        // Isolated path: a throwing task (injected or organic) quarantines
-        // after bounded retries instead of failing the launch; unaffected
-        // tasks are untouched (disjoint slots, deterministic schedule).
-        engine->run_batch_isolated(
-            n_tasks, concurrency, process_attempt,
-            [&](std::size_t pos) { return tasks[pos].fault_key; }, plan,
-            opts_.max_task_retries, batch_ordinal, result.failures);
-      } else if (engine != nullptr) {
-        engine->run_batch(n_tasks, concurrency, process);
-      } else {
-        WarpKernelContext ctx(dev_, pm_, opts_, concurrency);
-        for (std::size_t pos = 0; pos < n_tasks; ++pos) process(pos, ctx);
-      }
-      if (armed) {
-        for (const WarpResult& wr : outcomes) {
-          result.failures.mem_faults += wr.mem_faults;
-          result.failures.walks_aborted += wr.walk_aborts;
-        }
-        if (tracer != nullptr) {
-          for (std::size_t f = faults_before;
-               f < result.failures.faults.size(); ++f) {
-            const resilience::TaskFault& tf = result.failures.faults[f];
-            trace::Event fe;
-            fe.kind = trace::Event::Kind::kInstant;
-            fe.track = driver_track;
-            fe.name = tf.quarantined ? "task quarantined" : "task retried";
-            fe.cat = "resilience";
-            fe.ts_us = tracer->host_now_us();
-            fe.args = {
-                trace::Arg::n("fault_key",
-                              static_cast<double>(tf.fault_key)),
-                trace::Arg::n("batch", static_cast<double>(tf.batch)),
-                trace::Arg::n("attempts", tf.attempts),
-                trace::Arg::s("code", error_code_name(tf.code)),
-            };
-            tracer->record(std::move(fe));
-          }
+      // A throwing task (injected or organic) quarantines after bounded
+      // retries instead of failing the launch; unaffected tasks are
+      // untouched (disjoint slots, deterministic schedule).
+      engine->run_batch_isolated(
+          n_tasks, concurrency, process,
+          [&](std::size_t pos) { return tasks[pos].fault_key; }, plan,
+          opts_.max_task_retries, batch_ordinal, result.failures);
+      if (tracer != nullptr) {
+        for (std::size_t f = faults_before; f < result.failures.faults.size();
+             ++f) {
+          const resilience::TaskFault& tf = result.failures.faults[f];
+          trace::Event fe;
+          fe.kind = trace::Event::Kind::kInstant;
+          fe.track = driver_track;
+          fe.name = tf.quarantined ? "task quarantined" : "task retried";
+          fe.cat = "resilience";
+          fe.ts_us = tracer->host_now_us();
+          fe.args = {
+              trace::Arg::n("fault_key", static_cast<double>(tf.fault_key)),
+              trace::Arg::n("batch", static_cast<double>(tf.batch)),
+              trace::Arg::n("attempts", tf.attempts),
+              trace::Arg::s("code", error_code_name(tf.code)),
+          };
+          tracer->record(std::move(fe));
         }
       }
 
       // Merge in batch position (ascending contig-id within the batch's
-      // schedule) order — byte-for-byte the serial merge, so totals,
-      // warp_cycles and traffic are independent of which worker ran what.
+      // schedule) order, so totals, warp_cycles, traffic and fault counts
+      // are independent of which worker ran what.
       for (std::size_t pos = 0; pos < n_tasks; ++pos) {
         const WarpResult& wr = outcomes[pos];
         launch.stats.totals.merge(wr.counters);
         launch.stats.warp_cycles.push_back(wr.counters.cycles);
         launch.stats.traffic.add(wr.traffic);
         ++launch.stats.num_warps;
+        result.failures.mem_faults += wr.mem_faults;
+        result.failures.walks_aborted += wr.walk_aborts;
       }
 
       launch.time = simt::estimate_time(dev_, launch.stats);
@@ -499,7 +487,7 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
       // launches. Completed launches' extensions were already copied back
       // (the real driver stages results per batch), so the run returns
       // early with them intact and lists what is left unfinished.
-      if (armed && plan->device_lost(opts_.fault_rank, batch_ordinal)) {
+      if (plan.device_lost(opts_.fault_rank, batch_ordinal)) {
         lost = true;
         result.device_lost = true;
         ++result.failures.devices_lost;
@@ -561,7 +549,7 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
 
   result.time = simt::estimate_time(dev_, result.stats);
   result.total_time_s = result.time.total_s;
-  if (armed && !result.failures.clean()) {
+  if (!result.failures.clean()) {
     const resilience::FailureReport& fr = result.failures;
     log::info("core", "run_faults",
               {trace::Arg::n("faults", static_cast<double>(fr.faults.size())),
@@ -576,9 +564,9 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
                trace::Arg::n("devices_lost",
                              static_cast<double>(fr.devices_lost))});
   }
-  if (tracer != nullptr) record_run_metrics(result, tracer->metrics());
-  if (tracer != nullptr && armed) {
+  if (tracer != nullptr) {
     trace::MetricsRegistry& reg = tracer->metrics();
+    record_run_metrics(result, reg);
     const resilience::FailureReport& fr = result.failures;
     reg.counter(trace::names::kResilienceFaultsInjected)
         .add(fr.faults.size() + fr.mem_faults + fr.walks_aborted +

@@ -38,9 +38,9 @@ struct AssemblyResult {
   simt::TimeBreakdown time;
   std::vector<LaunchBreakdown> launches;
 
-  /// Failure accounting of the resilient execution mode. Always clean()
-  /// when AssemblyOptions::fault_plan is unset (legacy path) or the armed
-  /// plan injected nothing and nothing failed organically.
+  /// Failure accounting: every task fault the isolated launches absorbed,
+  /// injected or organic. clean() when the plan injected nothing, nothing
+  /// failed organically and the pool started in full.
   resilience::FailureReport failures;
   /// True when the simulated device was lost mid-run (FaultPlan device-loss
   /// event matched this run's fault_rank): the run returns early with every
@@ -97,19 +97,23 @@ class LocalAssembler {
 
   /// Runs binning, batching and both extension kernels over the input.
   /// The input is not modified; use apply() to commit the extensions.
+  /// Throws std::invalid_argument on a malformed input (mapping vectors
+  /// not sized to the contigs, a read id out of range, zero kmer_len).
   ///
-  /// Host execution is parallel across the batch's independent warps when
-  /// AssemblyOptions::n_threads != 1 (see src/core/exec.hpp); extensions,
-  /// counters, traffic and the modelled time are bit-identical for every
-  /// thread count.
+  /// Every launch is one isolated batch on an execution engine (see
+  /// src/core/exec.hpp), parallel across the batch's independent warps
+  /// with AssemblyOptions::n_threads workers; extensions, counters, traffic
+  /// and the modelled time are bit-identical for every thread count. A
+  /// task that throws is retried, then quarantined into
+  /// AssemblyResult::failures, instead of failing the run.
   ///
   /// `engine` (optional) supplies an external thread pool to run on — one
   /// created by make_engine(), so its device/model/options match — letting
   /// a driver like the pipeline share a single pool across many runs and
-  /// its own host stages instead of respawning threads per k-round. It is
-  /// only used where run() would have created its own pool (parallel or
-  /// fault-armed execution); the n_threads == 1 serial oracle path is
-  /// unchanged. Results are bit-identical with or without it.
+  /// its own host stages instead of respawning threads per k-round.
+  /// Without it, run() makes a run-local engine; at one thread that engine
+  /// spawns nothing and runs every task inline. Results are bit-identical
+  /// with or without it.
   AssemblyResult run(const AssemblyInput& in,
                      WarpExecutionEngine* engine = nullptr) const;
 

@@ -20,9 +20,7 @@ WarpExecutionEngine::WarpExecutionEngine(const simt::DeviceSpec& dev,
       n_threads_(resolve_threads(n_threads)), tracer_(opts.trace) {
   // Injected pool-start failure (kPoolStart seam): behave exactly as if no
   // worker thread could be created — run caller-only, degraded.
-  const resilience::FaultPlan* plan = opts.fault_plan;
-  if (plan != nullptr && n_threads_ > 1 &&
-      plan->fires(resilience::Seam::kPoolStart, 0)) {
+  if (n_threads_ > 1 && opts.plan().fires(resilience::Seam::kPoolStart, 0)) {
     n_threads_ = 1;
     degraded_ = true;
   }
@@ -44,7 +42,7 @@ WarpExecutionEngine::WarpExecutionEngine(const simt::DeviceSpec& dev,
   if (tracer_ != nullptr) {
     // Register every worker's host track (and the claim/steal counters) up
     // front so nothing in the hot loop has to take the tracer mutex. Pool
-    // threads idle until run_batch publishes a job, so filling these after
+    // threads idle until a batch publishes a job, so filling these after
     // the spawn is safe.
     worker_tracks_.reserve(n_threads_);
     for (unsigned wid = 0; wid < n_threads_; ++wid) {
@@ -79,16 +77,8 @@ WarpKernelContext& WarpExecutionEngine::context_for(
 }
 
 void WarpExecutionEngine::work_on(Job& job, unsigned wid) {
-  // Host jobs never touch the simulator: no context is created, so a pool
-  // used only by the pipeline front-end stays allocation-free.
-  WarpKernelContext* const ctx =
-      job.body != nullptr ? &context_for(wid, job.concurrency) : nullptr;
   const auto run_range = [&](std::size_t begin, std::size_t end) {
-    if (job.body != nullptr) {
-      for (std::size_t i = begin; i < end; ++i) (*job.body)(i, *ctx);
-    } else {
-      for (std::size_t i = begin; i < end; ++i) (*job.host_body)(i, wid);
-    }
+    for (std::size_t i = begin; i < end; ++i) (*job.body)(i, wid);
   };
   try {
     // Own segment first, then sweep the others for chunks to steal. The
@@ -154,12 +144,14 @@ void WarpExecutionEngine::worker_loop(unsigned wid) {
     if (stopping_) return;
     seen = epoch_;
     Job* job = job_;
+    // Decide participation under the lock: `job` lives on the caller's
+    // stack, and once its participants have all finished it may be gone
+    // (or rebuilt at the same address) before a non-participant reads it.
+    const unsigned participants = job != nullptr ? job->participants : 0;
     lock.unlock();
-    if (job != nullptr && wid < job->participants) {
-      // `job` lives on the caller's stack and dies once `execute` observes
-      // finished == participants, so the fetch_add must be this worker's
-      // last access: read `participants` before it, never after.
-      const unsigned participants = job->participants;
+    if (wid < participants) {
+      // The fetch_add below must be this worker's last access to `job`:
+      // the caller returns once finished == participants.
       work_on(*job, wid);
       const unsigned before =
           job->finished.fetch_add(1, std::memory_order_acq_rel);
@@ -174,28 +166,11 @@ void WarpExecutionEngine::worker_loop(unsigned wid) {
   }
 }
 
-void WarpExecutionEngine::run_batch(
-    std::size_t n, std::uint64_t concurrency,
-    const std::function<void(std::size_t, WarpKernelContext&)>& body) {
-  if (n == 0) return;
-  Job job;
-  job.n = n;
-  job.concurrency = concurrency;
-  job.body = &body;
-  execute(job);
-}
-
 void WarpExecutionEngine::run_host_batch(
     std::size_t n, const std::function<void(std::size_t, unsigned)>& body) {
   if (n == 0) return;
   Job job;
-  job.n = n;
-  job.host_body = &body;
-  execute(job);
-}
-
-void WarpExecutionEngine::execute(Job& job) {
-  const std::size_t n = job.n;
+  job.body = &body;
   job.participants =
       static_cast<unsigned>(std::min<std::size_t>(n_threads_, n));
   // Chunked self-scheduling: ~4 chunks per worker amortises the claim
@@ -245,7 +220,7 @@ void WarpExecutionEngine::run_batch_isolated(
     const std::function<void(std::size_t, WarpKernelContext&, unsigned)>&
         body,
     const std::function<std::uint64_t(std::size_t)>& key_of,
-    const resilience::FaultPlan* plan, unsigned max_retries,
+    const resilience::FaultPlan& plan, unsigned max_retries,
     std::uint64_t batch_ordinal, resilience::FailureReport& report) {
   if (n == 0) return;
   using resilience::Seam;
@@ -258,8 +233,7 @@ void WarpExecutionEngine::run_batch_isolated(
   const auto attempt_once = [&](std::size_t i, WarpKernelContext& ctx,
                                 unsigned attempt) {
     try {
-      if (plan != nullptr &&
-          plan->fires(Seam::kTaskException, key_of(i), attempt)) {
+      if (plan.fires(Seam::kTaskException, key_of(i), attempt)) {
         // Ring-only at the default level; the flight recorder still
         // captures it, so an incident dump names the seam that fired.
         log::debug("exec", "seam_fired",
@@ -281,10 +255,9 @@ void WarpExecutionEngine::run_batch_isolated(
     }
   };
 
-  run_batch(n, concurrency,
-            [&](std::size_t i, WarpKernelContext& ctx) {
-              attempt_once(i, ctx, 0);
-            });
+  run_host_batch(n, [&](std::size_t i, unsigned wid) {
+    attempt_once(i, context_for(wid, concurrency), 0);
+  });
 
   // Retry pass: driver-side, ascending task order, on worker 0's context —
   // one deterministic serial schedule regardless of which worker failed

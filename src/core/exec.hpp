@@ -26,7 +26,10 @@ unsigned resolve_threads(unsigned n_threads) noexcept;
 /// host threads that drains batches of `WarpTask`s, mirroring how the GPU
 /// driver launches thousands of independent single-warp mer-walks
 /// concurrently (the contig independence the paper's whole offload rests
-/// on).
+/// on). It is the only way a warp batch runs: every LocalAssembler::run
+/// launch goes through run_batch_isolated, on the caller's shared engine
+/// or a run-local one. A one-thread engine spawns nothing and runs every
+/// task inline on the calling thread.
 ///
 /// Scheduling: the batch's index range is split into one contiguous
 /// segment per worker; workers self-schedule chunks from their own segment
@@ -38,7 +41,7 @@ unsigned resolve_threads(unsigned n_threads) noexcept;
 /// and each WarpKernelContext::run is a pure function of (configuration,
 /// task) — see the context's reset contract — so results are bit-identical
 /// for every thread count and every steal interleaving. Stats merging is
-/// the caller's job and happens in task order after run_batch returns;
+/// the caller's job and happens in task order after the batch returns;
 /// nothing about host threading feeds the performance model, so modelled
 /// kernel time is unchanged by this engine.
 ///
@@ -57,13 +60,13 @@ unsigned resolve_threads(unsigned n_threads) noexcept;
 class WarpExecutionEngine {
  public:
   /// Spawns `resolve_threads(n_threads) - 1` pool threads; the thread
-  /// calling run_batch participates as worker 0.
+  /// calling a batch participates as worker 0.
   ///
   /// Pool-start failure (a std::thread that cannot be created, or the
-  /// injected kPoolStart seam of an armed fault plan) degrades instead of
-  /// throwing: the engine keeps whatever workers it managed to start — in
-  /// the worst case only the caller — and reports degraded(). Results are
-  /// unaffected by construction (bit-identical at every worker count).
+  /// injected kPoolStart seam of the options' fault plan) degrades instead
+  /// of throwing: the engine keeps whatever workers it managed to start —
+  /// in the worst case only the caller — and reports degraded(). Results
+  /// are unaffected by construction (bit-identical at every worker count).
   WarpExecutionEngine(const simt::DeviceSpec& dev, simt::ProgrammingModel pm,
                       const AssemblyOptions& opts, unsigned n_threads = 0);
   ~WarpExecutionEngine();
@@ -77,28 +80,15 @@ class WarpExecutionEngine {
   /// engine is running with fewer workers than asked for.
   bool degraded() const noexcept { return degraded_; }
 
-  /// Runs `body(i, ctx)` for every i in [0, n) across the pool and blocks
-  /// until all calls completed (the launch barrier). `concurrency` is the
-  /// batch's modelled resident-warp count, forwarded to each worker's
-  /// context for the warp-effective cache slicing — the same value the
-  /// serial path passes to its per-batch context. `body` must be safe to
-  /// invoke concurrently for distinct i (warp tasks are: disjoint result
-  /// slots, shared read-only input). The first exception thrown by `body`
-  /// is rethrown here after the barrier.
-  void run_batch(std::size_t n, std::uint64_t concurrency,
-                 const std::function<void(std::size_t, WarpKernelContext&)>&
-                     body);
-
-  /// Runs `body(i, worker_id)` for every i in [0, n) across the pool — the
-  /// host-task variant of run_batch for work that is not a simulated warp
-  /// (the pipeline front-end's counting/graph/alignment stages). Same
-  /// scheduling (segments, chunk claiming, stealing), same launch barrier,
-  /// same chunk-span/steal tracing and first-exception rethrow; the only
-  /// difference is that no WarpKernelContext is created or passed — pure
-  /// host jobs on a pool that never ran a warp batch allocate no simulator
-  /// state at all. `worker_id` (in [0, n_threads())) lets the body index
-  /// per-worker scratch; `body` must be safe to invoke concurrently for
-  /// distinct i.
+  /// Runs `body(i, worker_id)` for every i in [0, n) across the pool and
+  /// blocks until all calls completed (the launch barrier). Chunks are
+  /// claimed per segment and stolen across segments; chunk spans and
+  /// steals are traced; the first exception thrown by `body` is rethrown
+  /// here after the barrier. `worker_id` (in [0, n_threads())) lets the
+  /// body index per-worker scratch; `body` must be safe to invoke
+  /// concurrently for distinct i. The pipeline front-end's
+  /// counting/graph/alignment stages run on this directly; a pool that
+  /// never ran a warp batch allocates no simulator state at all.
   ///
   /// Memory-ordering contract: the return is a full barrier — every write
   /// made by any body invocation happens-before the caller's subsequent
@@ -110,31 +100,35 @@ class WarpExecutionEngine {
   void run_host_batch(std::size_t n,
                       const std::function<void(std::size_t, unsigned)>& body);
 
-  /// The hardened variant of run_batch: per-task exception isolation with
-  /// bounded deterministic retry and quarantine instead of run_batch's
-  /// fail-the-launch rethrow.
+  /// Runs one simulated kernel launch: a host batch whose body gets the
+  /// worker's WarpKernelContext, with per-task exception isolation,
+  /// bounded deterministic retry and quarantine.
   ///
-  /// `body(i, ctx, attempt)` runs every task; a task that throws is
-  /// recorded in its own slot (slots are disjoint — no worker blocks or
-  /// poisons another) and, after the launch barrier, retried by the
-  /// calling thread in ascending task order on worker 0's context, up to
-  /// `max_retries` more attempts. A task that still fails is quarantined:
-  /// its result slot keeps whatever the body left (for warp tasks,
-  /// nothing), and a TaskFault lands in `report`. `key_of(i)` supplies the
-  /// task's stable fault key, used both for reporting and for the engine's
-  /// own kTaskException injection seam when `plan` is armed (transient:
-  /// fires only at attempt 0, so the first retry clears it).
+  /// `concurrency` is the batch's modelled resident-warp count, forwarded
+  /// to each worker's context for the warp-effective cache slicing.
+  /// `body(i, ctx, attempt)` runs every task; it must be safe to invoke
+  /// concurrently for distinct i (warp tasks are: disjoint result slots,
+  /// shared read-only input). A task that throws is recorded in its own
+  /// slot (slots are disjoint — no worker blocks or poisons another) and,
+  /// after the launch barrier, retried by the calling thread in ascending
+  /// task order on worker 0's context, up to `max_retries` more attempts.
+  /// A task that still fails is quarantined: its result slot keeps
+  /// whatever the body left (for warp tasks, nothing), and a TaskFault
+  /// lands in `report`. `key_of(i)` supplies the task's stable fault key,
+  /// used both for reporting and for the engine's own kTaskException
+  /// injection seam of `plan` (transient: fires only at attempt 0, so the
+  /// first retry clears it).
   ///
   /// Determinism: injection is a pure function of (plan, key, attempt),
   /// retries run serially in ascending order on one context, and isolation
-  /// only observes exceptions — with no armed seam firing, results are
-  /// byte-identical to run_batch at every thread count.
+  /// only observes exceptions — with no seam firing, results are
+  /// byte-identical at every thread count.
   void run_batch_isolated(
       std::size_t n, std::uint64_t concurrency,
       const std::function<void(std::size_t, WarpKernelContext&, unsigned)>&
           body,
       const std::function<std::uint64_t(std::size_t)>& key_of,
-      const resilience::FaultPlan* plan, unsigned max_retries,
+      const resilience::FaultPlan& plan, unsigned max_retries,
       std::uint64_t batch_ordinal, resilience::FailureReport& report);
 
  private:
@@ -146,16 +140,12 @@ class WarpExecutionEngine {
     std::size_t end = 0;
   };
 
-  /// One parallel region (one simulated kernel launch, or one host-task
-  /// batch — exactly one of `body` / `host_body` is set).
+  /// One parallel region: one host batch (a simulated kernel launch is a
+  /// host batch whose body fetches its worker's context).
   struct Job {
-    std::size_t n = 0;
     std::size_t chunk = 1;
-    std::uint64_t concurrency = 0;
     unsigned participants = 0;
-    const std::function<void(std::size_t, WarpKernelContext&)>* body =
-        nullptr;
-    const std::function<void(std::size_t, unsigned)>* host_body = nullptr;
+    const std::function<void(std::size_t, unsigned)>* body = nullptr;
     std::unique_ptr<Segment[]> segments;
     std::atomic<unsigned> finished{0};
     std::exception_ptr error;  ///< first failure, guarded by engine mutex
@@ -163,10 +153,6 @@ class WarpExecutionEngine {
 
   void worker_loop(unsigned wid);
   void work_on(Job& job, unsigned wid);
-  /// Shared scheduling core of run_batch/run_host_batch: chunks and
-  /// publishes the prepared job, participates as worker 0, waits out the
-  /// barrier, absorbs trace buffers and rethrows the first error.
-  void execute(Job& job);
   WarpKernelContext& context_for(unsigned wid, std::uint64_t concurrency);
 
   const simt::DeviceSpec& dev_;

@@ -31,35 +31,14 @@ void WarpKernelContext::reconfigure(std::uint64_t concurrency) {
   mem_ = memsim::TieredMemory(l1_cfg_, l2_cfg_);
 }
 
-void WarpKernelContext::validate_task(const WarpTask& task) const {
-  const auto corrupt = [&](std::string what) {
-    return StatusError(Error(ErrorCode::kCorruptInput,
-                             "WarpKernelContext: " + std::move(what),
-                             SourceContext{"task", 0, task.fault_key}));
-  };
-  if (task.reads == nullptr) throw corrupt("null read set");
-  const std::size_t n_reads = task.reads->size();
-  for (std::uint32_t rid : task.read_ids) {
-    if (rid >= n_reads)
-      throw corrupt("read id " + std::to_string(rid) + " out of range (" +
-                    std::to_string(n_reads) + " reads)");
-  }
-  if (task.kmer_len == 0) throw corrupt("zero kmer_len");
-}
-
 WarpResult WarpKernelContext::run(const WarpTask& task, unsigned attempt) {
-  const resilience::FaultPlan* plan = opts_.fault_plan;
-  if (plan != nullptr) {
-    // Hardened entry: reject genuinely malformed payloads, then the
-    // injected bad-input seam (persistent — the "same" malformed task
-    // fails its retries too and ends up quarantined).
-    validate_task(task);
-    if (plan->fires(resilience::Seam::kBadInput, task.fault_key, attempt)) {
-      throw StatusError(
-          Error(ErrorCode::kCorruptInput,
-                "injected malformed task payload",
-                SourceContext{"task", 0, task.fault_key}));
-    }
+  const resilience::FaultPlan& plan = opts_.plan();
+  // The injected bad-input seam is persistent: the "same" malformed task
+  // fails its retries too and ends up quarantined.
+  if (plan.fires(resilience::Seam::kBadInput, task.fault_key, attempt)) {
+    throw StatusError(Error(ErrorCode::kCorruptInput,
+                            "injected malformed task payload",
+                            SourceContext{"task", 0, task.fault_key}));
   }
   // Reset contract (see header): clear every piece of cross-task scratch
   // this call reads before the task's own writes — the hierarchy here, the
@@ -112,18 +91,15 @@ WarpResult WarpKernelContext::run(const WarpTask& task, unsigned attempt) {
     // Injected seams, keyed per (task, rung) so different rungs of one
     // contig fault independently but deterministically. mer < 256, so the
     // shifted key cannot collide across tasks.
-    bool inject_hang = false;
-    if (plan != nullptr) {
-      const std::uint64_t rung_key = (task.fault_key << 8) ^ mer;
-      if (plan->fires(resilience::Seam::kMemStall, rung_key, attempt)) {
-        // Transient tier interruption: dirty lines written back, caches
-        // dropped — the rung's remaining accesses re-fetch from HBM.
-        mem.fault_interrupt();
-        ++res.mem_faults;
-      }
-      inject_hang =
-          plan->fires(resilience::Seam::kWalkHang, rung_key, attempt);
+    const std::uint64_t rung_key = (task.fault_key << 8) ^ mer;
+    if (plan.fires(resilience::Seam::kMemStall, rung_key, attempt)) {
+      // Transient tier interruption: dirty lines written back, caches
+      // dropped — the rung's remaining accesses re-fetch from HBM.
+      mem.fault_interrupt();
+      ++res.mem_faults;
     }
+    const bool inject_hang =
+        plan.fires(resilience::Seam::kWalkHang, rung_key, attempt);
 
     table_.reset(slots, task.table_sim_base);
     construct(task, mer, mem, ctr);

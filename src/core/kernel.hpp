@@ -57,9 +57,9 @@ struct WarpTask {
   std::uint64_t walkbuf_sim_addr = 0;
   std::uint32_t kmer_len = 0;
   /// Stable fault-injection identity (resilience::contig_fault_key of the
-  /// contig's id and walk side). Pure metadata: unused unless
-  /// AssemblyOptions::fault_plan is armed, and independent of batching and
-  /// thread assignment so injected faults are deterministic.
+  /// contig's id and walk side). Pure metadata: it only selects which
+  /// tasks the run's FaultPlan faults, and it is independent of batching
+  /// and thread assignment so injected faults are deterministic.
   std::uint64_t fault_key = 0;
 };
 
@@ -90,7 +90,8 @@ struct WarpResult {
   simt::WarpCounters counters;
   memsim::TrafficStats traffic;
   std::unique_ptr<WarpTaskTrace> trace;   ///< null unless tracing
-  /// Fault accounting (always zero without an armed fault plan).
+  /// Fault accounting (mem_faults stays zero under an empty fault plan;
+  /// walk_aborts counts any runaway walk the watchdog cancelled).
   std::uint32_t mem_faults = 0;           ///< injected tier interruptions
   std::uint32_t walk_aborts = 0;          ///< rungs the watchdog cancelled
 };
@@ -119,17 +120,17 @@ class WarpKernelContext {
   /// Simulates one warp end-to-end: the mer-size ladder of
   /// {construct (Algorithm 1) -> mer-walk (Algorithm 2)} rounds of Fig. 4.
   ///
-  /// `attempt` is the execution attempt (0 = first try); it only matters
-  /// when AssemblyOptions::fault_plan is armed, where transient seams fire
-  /// exclusively at attempt 0 so retries can succeed. In armed mode the
-  /// task payload is validated first (out-of-range read ids and ids whose
-  /// sequences cannot back a k-mer view raise a kCorruptInput StatusError
-  /// instead of undefined behaviour), the injected bad-input seam raises
-  /// the same error, injected mem stalls interrupt the tier between rungs,
-  /// and a watchdog cancels walks that exceed the max_walk_len-derived
-  /// iteration budget as WalkState::kAborted. All of this is observation
-  /// or injection only: with an empty armed plan the modelled numbers are
-  /// bit-identical to the unarmed path.
+  /// The task must be well formed (read ids in range, nonzero kmer_len);
+  /// LocalAssembler::run checks its input before building any task.
+  ///
+  /// `attempt` is the execution attempt (0 = first try). The options'
+  /// FaultPlan (AssemblyOptions::plan()) decides the injected seams:
+  /// transient ones fire exclusively at attempt 0 so retries can succeed,
+  /// the bad-input seam raises a kCorruptInput StatusError, and mem stalls
+  /// interrupt the tier between rungs. A watchdog cancels walks that
+  /// exceed the max_walk_len-derived iteration budget as
+  /// WalkState::kAborted; it never trips on a healthy walk. With the empty
+  /// plan nothing fires and no modelled number changes.
   WarpResult run(const WarpTask& task, unsigned attempt = 0);
 
   /// Re-derives the fair-share cache slices for a new batch concurrency,
@@ -148,11 +149,6 @@ class WarpKernelContext {
     bool done = false;
     bool valid = false;
   };
-
-  /// Armed-mode payload validation: raises a kCorruptInput StatusError on
-  /// a task whose read ids or geometry would otherwise be undefined
-  /// behaviour (never called on the unarmed fast path).
-  void validate_task(const WarpTask& task) const;
 
   void construct(const WarpTask& task, std::uint32_t mer,
                  memsim::TieredMemory& mem, simt::WarpCounters& ctr);

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "resilience/fault_plan.hpp"
+
 namespace lassm::core {
 
 namespace {
@@ -15,6 +17,11 @@ Status bad(const std::string& what) {
 }
 
 }  // namespace
+
+const resilience::FaultPlan& AssemblyOptions::plan() const noexcept {
+  static const resilience::FaultPlan kEmpty;
+  return fault_plan != nullptr ? *fault_plan : kEmpty;
+}
 
 Status AssemblyOptions::validate() const {
   if (max_walk_len == 0) return bad("max_walk_len must be > 0");

@@ -56,10 +56,11 @@ struct AssemblyOptions {
 
   /// Host threads driving the simulated warps (the simulator-side analogue
   /// of MetaHipMer launching thousands of independent single-warp
-  /// mer-walks): 0 = one per hardware thread, 1 = the serial oracle path,
-  /// N = a persistent pool of N workers. Purely a host-throughput knob —
-  /// extensions, counters, traffic and modelled time are bit-identical for
-  /// every value (see DESIGN.md "Parallel execution engine").
+  /// mer-walks): 0 = one per hardware thread, N = a pool of N workers (the
+  /// caller is one of them, so 1 runs every task inline). Purely a
+  /// host-throughput knob — extensions, counters, traffic and modelled
+  /// time are bit-identical for every value (see DESIGN.md "Parallel
+  /// execution engine").
   unsigned n_threads = 0;
 
   /// Observability sink (non-owning): when set, the run records host spans
@@ -77,23 +78,25 @@ struct AssemblyOptions {
   /// Minimum high-quality votes for an extension to be viable.
   int min_viable_votes = bio::kMinViableVotes;
 
-  /// Fault injection & hardening (non-owning). Null — the default — keeps
-  /// the legacy fast paths untouched. Non-null arms the resilient
-  /// execution mode: per-task exception isolation with bounded retry and
-  /// quarantine, walk watchdogs, task validation and the plan's injected
-  /// seams (see src/resilience/fault_plan.hpp). An *empty* armed plan
-  /// injects nothing, and armed runs with an empty plan stay bit-identical
-  /// to unarmed runs (the hardened paths only observe, never perturb).
+  /// Fault injection (non-owning). Every run executes on the hardened
+  /// path — per-task exception isolation with bounded retry and
+  /// quarantine, walk watchdogs — and this plan only chooses which seams
+  /// fire (see src/resilience/fault_plan.hpp). Null, the default, means
+  /// the shared empty plan (see plan()): nothing is injected.
   const resilience::FaultPlan* fault_plan = nullptr;
 
-  /// Retry budget for transiently-failed tasks in armed mode: a task that
-  /// throws is re-executed on the driver thread up to this many times, in
-  /// ascending task order, before being quarantined.
+  /// Retry budget for transiently-failed tasks: a task that throws is
+  /// re-executed on the driver thread up to this many times, in ascending
+  /// task order, before being quarantined.
   unsigned max_task_retries = 2;
 
   /// This run's rank identity for FaultPlan::device_lost matching (set by
   /// run_multi_gpu_resilient; single-device runs are rank 0).
   std::uint32_t fault_rank = 0;
+
+  /// The plan this run is armed with: `*fault_plan`, or one shared empty
+  /// plan when it is null. The only place a null plan is resolved.
+  const resilience::FaultPlan& plan() const noexcept;
 
   /// Rejects out-of-domain configurations (zero max_walk_len, zero ladder
   /// step, load factor outside (0, 1], non-power-of-two subgroup

@@ -1,7 +1,6 @@
 #include "dist/pipeline.hpp"
 
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -75,12 +74,12 @@ DistResult run_distributed(const bio::ReadSet& reads,
                            const simt::DeviceSpec& device,
                            const DistOptions& opts, std::ostream* log) {
   const pipeline::PipelineOptions& popts = opts.pipeline;
-  const resilience::FaultPlan* const plan = popts.assembly.fault_plan;
+  const resilience::FaultPlan& plan = popts.assembly.plan();
 
   DistResult result;
   ShardMap map(opts.ranks);
   MessageLayer msg(map.n_ranks(), DistKmerTable::kNumChannels, device.net,
-                   plan);
+                   &plan);
   DistKmerTable table(map, msg);
 
   trace::Tracer* const tracer = popts.assembly.trace;
@@ -91,19 +90,13 @@ DistResult run_distributed(const bio::ReadSet& reads,
       tracer != nullptr ? &tracer->attribution() : nullptr;
   trace::AttributionProfile::Scope pipeline_scope(profile, "dist_pipeline");
 
-  // One shared pool for the front-end stages and per-round alignment, as
-  // in run_pipeline. The per-round assembly pools live inside
-  // run_multi_gpu_resilient's per-rank assemblers.
+  // One shared pool for the front-end stages, per-round alignment and
+  // one-live-rank assembly, as in run_pipeline. Multi-rank rounds run on
+  // the run-local pools of run_multi_gpu_resilient's per-rank assemblers.
   std::optional<core::LocalAssembler> assembler;
   if (!popts.use_reference) assembler.emplace(device, popts.assembly);
-  std::unique_ptr<core::WarpExecutionEngine> pool;
-  if (core::resolve_threads(popts.assembly.n_threads) > 1) {
-    pool = assembler.has_value()
-               ? assembler->make_engine()
-               : std::make_unique<core::WarpExecutionEngine>(
-                     device, device.native_model, popts.assembly,
-                     core::resolve_threads(popts.assembly.n_threads));
-  }
+  core::WarpExecutionEngine pool(device, device.native_model, popts.assembly,
+                                 popts.assembly.n_threads);
 
   if (!popts.checkpoint_path.empty() && log != nullptr) {
     *log << "[dist] checkpointing is not supported distributed; "
@@ -114,11 +107,10 @@ DistResult run_distributed(const bio::ReadSet& reads,
   // one), adopting its shards. Returns the union mask of orphaned shards.
   const auto fire_rank_losses = [&](std::uint32_t phase) -> std::uint64_t {
     std::uint64_t orphan_mask = 0;
-    if (plan == nullptr) return orphan_mask;
     for (const std::uint32_t rank : map.live_ranks()) {
       if (map.n_live() <= 1) break;
-      if (!plan->fires(resilience::Seam::kRankLoss,
-                       rank_loss_key(phase, rank))) {
+      if (!plan.fires(resilience::Seam::kRankLoss,
+                      rank_loss_key(phase, rank))) {
         continue;
       }
       const std::vector<std::uint32_t> orphans = map.adopt(rank);
@@ -158,7 +150,7 @@ DistResult run_distributed(const bio::ReadSet& reads,
     const TrafficStats before = msg.traffic();
     StageClock::time_point wall_t0 = StageClock::now();
     const CountStats cstats = count_kmers_dist(
-        table, reads, popts.contig_k, ~std::uint64_t{0}, pool.get());
+        table, reads, popts.contig_k, ~std::uint64_t{0}, &pool);
     result.pipeline.frontend.count_s = stage_seconds(wall_t0);
     result.pipeline.kmers_total = table.total_size();
     result.count_windows = cstats.windows;
@@ -187,7 +179,7 @@ DistResult run_distributed(const bio::ReadSet& reads,
       for (std::uint32_t r = 0; r < map.n_ranks(); ++r) {
         if (!map.live(r)) table.local(r) = pipeline::KmerCounts{};
       }
-      count_kmers_dist(table, reads, popts.contig_k, orphan_mask, pool.get());
+      count_kmers_dist(table, reads, popts.contig_k, orphan_mask, &pool);
       result.pipeline.kmers_total = table.total_size();
       for (const std::uint32_t r : map.live_ranks()) {
         result.ranks[r].kmers = table.local(r).size();
@@ -200,7 +192,7 @@ DistResult run_distributed(const bio::ReadSet& reads,
 
     wall_t0 = StageClock::now();
     result.pipeline.kmers_filtered =
-        filter_low_count_dist(table, popts.min_kmer_count, pool.get());
+        filter_low_count_dist(table, popts.min_kmer_count, &pool);
     result.pipeline.frontend.filter_s = stage_seconds(wall_t0);
     attribute_traffic(profile, msg.traffic().minus(before));
     record_stage(tracer, driver_track, "kmer_analysis", stage_t0,
@@ -233,7 +225,7 @@ DistResult run_distributed(const bio::ReadSet& reads,
     const StageClock::time_point wall_t0 = StageClock::now();
     result.pipeline.contigs =
         generate_contigs_dist(table, popts.contig_k, popts.min_contig_len,
-                              &result.pipeline.dbg, pool.get());
+                              &result.pipeline.dbg, &pool);
     result.pipeline.frontend.dbg_s = stage_seconds(wall_t0);
     attribute_traffic(profile, msg.traffic().minus(before));
     record_stage(tracer, driver_track, "contig_generation", stage_t0,
@@ -267,7 +259,7 @@ DistResult run_distributed(const bio::ReadSet& reads,
     const StageClock::time_point align_t0 = StageClock::now();
     core::AssemblyInput input = pipeline::align_reads_to_ends(
         std::move(result.pipeline.contigs), reads, k, popts.aligner, &astats,
-        pool.get());
+        &pool);
 
     pipeline::IterationReport report;
     report.k = k;
@@ -297,9 +289,10 @@ DistResult run_distributed(const bio::ReadSet& reads,
       // (the multi-GPU path would LPT-reorder the contig list, which
       // changes modelled batch overlap and so kernel_time_s — results
       // stay identical but the R=1 anchor pins the time bits too).
-      core::AssemblyResult ar = assembler->run(input, pool.get());
+      core::AssemblyResult ar = assembler->run(input, &pool);
       report.extension_bases = ar.total_extension_bases();
       report.kernel_time_s = ar.total_time_s;
+      result.failures.merge(ar.failures);
       core::LocalAssembler::apply(input, ar);
     } else {
       // Owner-computes partitioning of the round: contigs and their reads
@@ -326,7 +319,7 @@ DistResult run_distributed(const bio::ReadSet& reads,
 
       const std::vector<simt::DeviceSpec> devices(live.size(), device);
       pipeline::MultiGpuResult mgr = pipeline::run_multi_gpu_resilient(
-          input, devices, popts.assembly, plan, &live);
+          input, devices, popts.assembly, &plan, &live);
       report.kernel_time_s = mgr.makespan_s;
       for (std::size_t i = 0; i < input.contigs.size(); ++i) {
         report.extension_bases +=

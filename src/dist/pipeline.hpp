@@ -49,7 +49,8 @@ struct DistRankReport {
 struct DistResult {
   /// Bit-identical to run_pipeline's result on the same reads/device/
   /// options (wall-clock FrontendTimings and align_time_s excepted — those
-  /// measure this run).
+  /// measure this run — and `failures`, which stays empty here: the
+  /// distributed run records every fault in DistResult::failures).
   pipeline::PipelineResult pipeline;
   std::vector<DistRankReport> ranks;   ///< indexed by rank id
   TrafficStats traffic;                ///< whole-run message accounting

@@ -45,8 +45,8 @@ struct MultiGpuResult {
 
 /// Splits the input into per-rank inputs (contigs + only their mapped
 /// reads, reindexed). Greedy LPT on the per-contig read count. Exposed for
-/// testing; run_multi_gpu uses it internally. rank_of (optional, size =
-/// contigs) receives each contig's rank.
+/// testing; run_multi_gpu_resilient uses it internally. rank_of (optional,
+/// size = contigs) receives each contig's rank.
 std::vector<core::AssemblyInput> partition_input(
     const core::AssemblyInput& in, std::uint32_t num_ranks,
     std::vector<std::uint32_t>* rank_of = nullptr);
@@ -58,25 +58,21 @@ std::vector<core::AssemblyInput> partition_input(
 core::AssemblyInput subset_input(const core::AssemblyInput& in,
                                  const std::vector<std::uint32_t>& ids);
 
-/// Runs local assembly on `num_ranks` copies of the device model and
-/// merges the extensions back into input order. Results are identical to
-/// a single-device run (verified in tests): partitioning cannot change
-/// per-contig outcomes because contigs are independent.
-MultiGpuResult run_multi_gpu(const core::AssemblyInput& in,
-                             const simt::DeviceSpec& device,
-                             std::uint32_t num_ranks,
-                             const core::AssemblyOptions& opts = {});
-
 /// Rank identity of device-loss recovery reruns: reruns are pinned to this
 /// sentinel so a FaultPlan's scheduled losses (which name real ranks) can
 /// never re-kill the recovery pass — recovery terminates by construction.
 inline constexpr std::uint32_t kRecoveryRank = 0xFFFFFFFFu;
 
-/// Device-loss-tolerant multi-GPU run: one rank per entry of `devices`
-/// (heterogeneous specs allowed), each with `plan` armed and its
-/// fault_rank set, so the plan's device-loss events fire on the matching
-/// rank mid-run. A lost rank keeps the extensions of its completed
-/// batches; its unfinished contigs are re-partitioned across the surviving
+/// Runs local assembly on one simulated device per entry of `devices`
+/// (heterogeneous specs allowed) and merges the extensions back into
+/// input order. Results are identical to a single-device run:
+/// partitioning cannot change per-contig outcomes because contigs are
+/// independent.
+///
+/// Device-loss tolerant: every rank runs with `plan` and its fault_rank
+/// set, so the plan's device-loss events fire on the matching rank
+/// mid-run. A lost rank keeps the extensions of its completed batches;
+/// its unfinished contigs are re-partitioned across the surviving
 /// devices (LPT, like the initial split), rerun under kRecoveryRank, and
 /// recorded as a RebalanceEvent in `failures`. Because fault keys are
 /// contig-identity based, a recovered contig's extension is bit-identical
@@ -88,8 +84,7 @@ inline constexpr std::uint32_t kRecoveryRank = 0xFFFFFFFFu;
 /// the added time lands in that rank's RankReport and the makespan.
 /// Throws StatusError(kInvalidArgument) on an empty device list and
 /// StatusError(kDeviceLost) when every rank is lost (nothing to recover
-/// onto). `plan` may be null (equivalent to run_multi_gpu with hardening
-/// armed off) or empty (armed, nothing fires — bit-identical results).
+/// onto). A null `plan` is the empty plan: nothing fires.
 ///
 /// `rank_ids` (optional, size = devices) gives each entry its *physical*
 /// rank identity: fault_rank, RankReport.rank and RebalanceEvent members

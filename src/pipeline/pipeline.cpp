@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -232,20 +231,14 @@ PipelineResult run_pipeline(const bio::ReadSet& reads,
   // One shared thread pool for the whole pipeline: the front-end stages
   // run on it as host batches and every simulated-assembly round runs its
   // warp launches on it, so threads spawn once per pipeline instead of
-  // once per stage. n_threads == 1 (no pool) is the serial oracle; an
-  // armed kPoolStart fault seam degrades the pool at construction exactly
+  // once per stage. At one thread it spawns nothing and every stage runs
+  // inline; a kPoolStart fault seam degrades it at construction exactly
   // as it would degrade each per-round pool (the seam is a pure function
   // of the plan).
   std::optional<core::LocalAssembler> assembler;
   if (!opts.use_reference) assembler.emplace(device, opts.assembly);
-  std::unique_ptr<core::WarpExecutionEngine> pool;
-  if (core::resolve_threads(opts.assembly.n_threads) > 1) {
-    pool = assembler.has_value()
-               ? assembler->make_engine()
-               : std::make_unique<core::WarpExecutionEngine>(
-                     device, device.native_model, opts.assembly,
-                     core::resolve_threads(opts.assembly.n_threads));
-  }
+  core::WarpExecutionEngine pool(device, device.native_model, opts.assembly,
+                                 opts.assembly.n_threads);
 
   // Resume: adopt a matching checkpoint's state and skip its completed
   // work. A missing file is the normal cold start; a corrupt or
@@ -306,13 +299,13 @@ PipelineResult run_pipeline(const bio::ReadSet& reads,
     trace::AttributionProfile::Scope kmer_scope(profile, "kmer_analysis");
     StageClock::time_point wall_t0 = StageClock::now();
     KmerCounts counts = count_kmers(reads, opts.contig_k,
-                                    /*canonical=*/false, pool.get(),
+                                    /*canonical=*/false, &pool,
                                     opts.count_mode);
     result.frontend.count_s = stage_seconds(wall_t0);
     result.kmers_total = counts.size();
     wall_t0 = StageClock::now();
     result.kmers_filtered =
-        filter_low_count(counts, opts.min_kmer_count, pool.get());
+        filter_low_count(counts, opts.min_kmer_count, &pool);
     result.frontend.filter_s = stage_seconds(wall_t0);
     record_stage(tracer, driver_track, "kmer_analysis", stage_t0,
                  trace::counter_args(kmer_scope.close()));
@@ -341,7 +334,7 @@ PipelineResult run_pipeline(const bio::ReadSet& reads,
     wall_t0 = StageClock::now();
     result.contigs =
         generate_contigs(counts, opts.contig_k, opts.min_contig_len,
-                         &result.dbg, pool.get());
+                         &result.dbg, &pool);
     result.frontend.dbg_s = stage_seconds(wall_t0);
     record_stage(tracer, driver_track, "contig_generation", stage_t0,
                  trace::counter_args(dbg_scope.close()));
@@ -371,7 +364,7 @@ PipelineResult run_pipeline(const bio::ReadSet& reads,
     const StageClock::time_point align_t0 = StageClock::now();
     core::AssemblyInput input = align_reads_to_ends(
         std::move(result.contigs), reads, k, opts.aligner, &astats,
-        pool.get());
+        &pool);
 
     IterationReport report;
     report.k = k;
@@ -386,7 +379,7 @@ PipelineResult run_pipeline(const bio::ReadSet& reads,
 
     if (opts.use_reference) {
       // The reference honours the same n_threads knob as the simulator
-      // (1 = serial oracle); both paths are bit-identical at any count.
+      // (1 = the serial reference); both are bit-identical at any count.
       const auto exts =
           opts.assembly.n_threads == 1
               ? core::reference_extend(input, opts.assembly)
@@ -397,9 +390,10 @@ PipelineResult run_pipeline(const bio::ReadSet& reads,
         bio::apply_extension(input.contigs[i], exts[i]);
       }
     } else {
-      core::AssemblyResult ar = assembler->run(input, pool.get());
+      core::AssemblyResult ar = assembler->run(input, &pool);
       report.extension_bases = ar.total_extension_bases();
       report.kernel_time_s = ar.total_time_s;
+      result.failures.merge(ar.failures);
       core::LocalAssembler::apply(input, ar);
     }
 

@@ -73,6 +73,11 @@ struct PipelineResult {
   std::uint64_t kmers_filtered = 0;
   FrontendTimings frontend;
   std::vector<IterationReport> iterations;
+  /// Task faults the local-assembly rounds absorbed (retried or
+  /// quarantined tasks, watchdog aborts, injected seams), merged over the
+  /// rounds this run executed. Not checkpointed: a resumed run reports
+  /// only the rounds it ran.
+  resilience::FailureReport failures;
 };
 
 /// On-disk pipeline state between k-rounds: everything stage 3 needs to
@@ -107,12 +112,12 @@ Result<PipelineCheckpoint> load_checkpoint_file(const std::string& path);
 /// Assembles `reads` on the given device model. `log` (optional) receives a
 /// line per stage.
 ///
-/// When assembly.n_threads resolves to more than one worker, the pipeline
-/// creates a single warp-execution pool up front and shares it across the
-/// front-end stages (k-mer counting/filtering, contig generation, per-round
-/// alignment) and every round's local-assembly launches, so no stage
-/// respawns threads. Every output is bit-identical at every thread count;
-/// threads are purely a throughput knob.
+/// The pipeline creates a single warp-execution pool of assembly.n_threads
+/// workers up front and shares it across the front-end stages (k-mer
+/// counting/filtering, contig generation, per-round alignment) and every
+/// round's local-assembly launches, so no stage respawns threads. Every
+/// output is bit-identical at every thread count; threads are purely a
+/// throughput knob.
 PipelineResult run_pipeline(const bio::ReadSet& reads,
                             const simt::DeviceSpec& device,
                             const PipelineOptions& opts = {},

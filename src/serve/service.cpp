@@ -79,25 +79,10 @@ void JobTicket::resolve(JobOutcome outcome) {
 // ---------------------------------------------------------------------------
 // AssemblyService
 
-namespace {
-
-core::AssemblyOptions armed_options(const ServiceConfig& cfg,
-                                    const resilience::FaultPlan* plan,
-                                    std::uint32_t fault_rank) {
-  core::AssemblyOptions opts = cfg.assembly;
-  opts.fault_plan = plan;  // always armed: jobs ride the isolated path
-  opts.fault_rank = fault_rank;
-  return opts;
-}
-
-}  // namespace
-
 AssemblyService::AssemblyService(ServiceConfig cfg)
     : cfg_(std::move(cfg)),
-      plan_(cfg_.assembly.fault_plan != nullptr ? cfg_.assembly.fault_plan
-                                                : &empty_plan_),
-      assembler_(cfg_.device, cfg_.pm,
-                 armed_options(cfg_, plan_, cfg_.assembly.fault_rank)),
+      plan_(&cfg_.assembly.plan()),
+      assembler_(cfg_.device, cfg_.pm, cfg_.assembly),
       cache_(cfg_.cache_capacity),
       paused_(cfg_.start_paused) {
   if (cfg_.metrics != nullptr) {
@@ -477,7 +462,7 @@ void AssemblyService::run_batch(std::vector<Job>& batch) {
       // changes: the fleet makespan replaces the single-device total.
       pipeline::MultiGpuResult mgr = pipeline::run_multi_gpu_resilient(
           combined, std::vector<simt::DeviceSpec>(cfg_.ranks, cfg_.device),
-          armed_options(cfg_, plan_, cfg_.assembly.fault_rank), plan_);
+          cfg_.assembly, plan_);
       result.extensions = std::move(mgr.extensions);
       result.failures = std::move(mgr.failures);
       result.total_time_s = mgr.makespan_s;
@@ -525,9 +510,9 @@ void AssemblyService::run_batch(std::vector<Job>& batch) {
       rec_in.left_reads.push_back(combined.left_reads[pos]);
       rec_in.right_reads.push_back(combined.right_reads[pos]);
     }
-    core::LocalAssembler recovery(
-        cfg_.device, cfg_.pm,
-        armed_options(cfg_, plan_, pipeline::kRecoveryRank));
+    core::AssemblyOptions rec_opts = cfg_.assembly;
+    rec_opts.fault_rank = pipeline::kRecoveryRank;
+    core::LocalAssembler recovery(cfg_.device, cfg_.pm, rec_opts);
     core::AssemblyResult rec = recovery.run(rec_in, engine_.get());
     if (rec.device_lost) {
       // The recovery rank cannot be scheduled for loss by parse()d plans;

@@ -47,8 +47,8 @@ struct ServiceConfig {
   simt::ProgrammingModel pm = simt::ProgrammingModel::kCuda;
   /// Engine/kernel options. `fault_plan` here arms the whole stack: the
   /// service seams (queue_overflow, job_timeout, cache_corrupt), the
-  /// per-task isolation seams, and device loss. When null the service
-  /// arms an owned empty plan so jobs always ride the isolated path.
+  /// per-task isolation seams, and device loss. Null means the shared
+  /// empty plan (AssemblyOptions::plan()): nothing is injected.
   core::AssemblyOptions assembly;
 
   /// Simulated device ranks per engine run (1 = the single-device path).
@@ -272,8 +272,7 @@ class AssemblyService {
   double elapsed_ms(std::chrono::steady_clock::time_point since) const;
 
   ServiceConfig cfg_;
-  resilience::FaultPlan empty_plan_;  ///< armed when cfg has no plan
-  const resilience::FaultPlan* plan_ = nullptr;  ///< never null after ctor
+  const resilience::FaultPlan* plan_ = nullptr;  ///< cfg_.assembly.plan()
   core::LocalAssembler assembler_;
   std::unique_ptr<core::WarpExecutionEngine> engine_;
   ResultCache cache_;

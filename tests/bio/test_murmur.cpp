@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -66,6 +67,14 @@ struct TableVRow {
   std::uint64_t mix;
   std::uint64_t intop1;
 };
+
+// ctest names each case after its printed parameter. Without this gtest
+// prints the raw bytes, padding included, so the names would change from
+// one run of the test binary to the next.
+void PrintTo(const TableVRow& row, std::ostream* os) {
+  *os << "{k=" << row.k << ", mix=" << row.mix << ", intop1=" << row.intop1
+      << "}";
+}
 
 class MurmurTableV : public ::testing::TestWithParam<TableVRow> {};
 

@@ -83,6 +83,34 @@ TEST(Assembler, RunRejectsMalformedInput) {
                std::invalid_argument);
 }
 
+TEST(Assembler, RunRejectsOutOfRangeReadIdsAndZeroK) {
+  // Batching sizes every task from its reads before any task runs, so a
+  // bad read id must be rejected at entry, not read out of bounds.
+  const LocalAssembler assembler(simt::DeviceSpec::a100());
+  for (const bool left : {false, true}) {
+    AssemblyInput in = dataset();
+    auto& side = left ? in.left_reads : in.right_reads;
+    side[3].push_back(static_cast<std::uint32_t>(in.reads.size()));
+    EXPECT_THROW(assembler.run(in), std::invalid_argument) << left;
+  }
+  AssemblyInput in = dataset();
+  in.kmer_len = 0;
+  EXPECT_THROW(assembler.run(in), std::invalid_argument);
+}
+
+TEST(Assembler, RunAcceptsAReadMappedToBothEnds) {
+  // Entry validation checks ranges only: AssemblyInput::validate()'s
+  // read-mapped-twice rule is a dataset invariant, not a kernel hazard.
+  AssemblyInput in = dataset();
+  for (const auto& ids : in.right_reads) {
+    if (ids.empty()) continue;
+    in.left_reads[0].push_back(ids[0]);
+    break;
+  }
+  ASSERT_FALSE(in.validate());
+  EXPECT_NO_THROW(LocalAssembler(simt::DeviceSpec::a100()).run(in));
+}
+
 TEST(Assembler, EmptyInput) {
   AssemblyInput in;
   in.kmer_len = 21;

@@ -1,10 +1,13 @@
 // The parallel execution engine's contract: host thread count is purely a
 // throughput knob — extensions, merged counters, per-warp cycle streams,
-// traffic and modelled time are bit-identical to the serial oracle path
-// (n_threads = 1) for every pool size and every steal interleaving.
+// traffic and modelled time are bit-identical to the one-thread run
+// (n_threads = 1, every task inline on the caller) for every pool size and
+// every steal interleaving.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -132,6 +135,21 @@ TEST(ParallelAssembler, ReferenceMatchesEveryThreadCount) {
   }
 }
 
+/// Runs `body` over [0, n) as one warp batch — the engine's isolated
+/// launch under the empty plan, no retries — and returns its report.
+resilience::FailureReport run_warp_batch(
+    WarpExecutionEngine& engine, std::size_t n, std::uint64_t concurrency,
+    const std::function<void(std::size_t, WarpKernelContext&)>& body) {
+  resilience::FailureReport report;
+  engine.run_batch_isolated(
+      n, concurrency,
+      [&](std::size_t i, WarpKernelContext& ctx, unsigned) { body(i, ctx); },
+      [](std::size_t i) { return static_cast<std::uint64_t>(i); },
+      AssemblyOptions{}.plan(), /*max_retries=*/0, /*batch_ordinal=*/0,
+      report);
+  return report;
+}
+
 TEST(ExecutionEngine, ResolveThreads) {
   EXPECT_EQ(resolve_threads(1), 1U);
   EXPECT_EQ(resolve_threads(7), 7U);
@@ -144,32 +162,65 @@ TEST(ExecutionEngine, RunsEveryIndexExactlyOnce) {
   WarpExecutionEngine engine(dev, simt::ProgrammingModel::kCuda, opts, 4);
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  engine.run_batch(kN, 1, [&](std::size_t i, WarpKernelContext&) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
+  EXPECT_TRUE(run_warp_batch(engine, kN, 1,
+                             [&](std::size_t i, WarpKernelContext&) {
+                               hits[i].fetch_add(1, std::memory_order_relaxed);
+                             })
+                  .clean());
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
   }
   // The pool survives across batches, including empty ones.
-  engine.run_batch(0, 1, [&](std::size_t, WarpKernelContext&) { FAIL(); });
+  run_warp_batch(engine, 0, 1,
+                 [&](std::size_t, WarpKernelContext&) { FAIL(); });
   std::atomic<std::size_t> count{0};
-  engine.run_batch(17, 8, [&](std::size_t, WarpKernelContext&) { ++count; });
+  run_warp_batch(engine, 17, 8,
+                 [&](std::size_t, WarpKernelContext&) { ++count; });
   EXPECT_EQ(count.load(), 17U);
+}
+
+TEST(ExecutionEngine, TinyBatchesOnWidePool) {
+  // Batches smaller than the pool leave most workers out of each job. A
+  // worker must decide whether it participates while it still holds the
+  // engine lock: the job lives on the caller's stack, and the next tiny
+  // batch rebuilds it at the same address, so a late read could join the
+  // wrong job, count into it twice and hang the caller's barrier. On a
+  // 4-core host the unfixed engine hung in about half the runs of this
+  // size (50k batches per pool); a hang fails through ctest's TIMEOUT.
+  const AssemblyOptions opts;
+  const simt::DeviceSpec dev = simt::DeviceSpec::a100();
+  for (unsigned workers : {4U, 8U}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    WarpExecutionEngine engine(dev, simt::ProgrammingModel::kCuda, opts,
+                               workers);
+    ASSERT_EQ(engine.n_threads(), workers);
+    for (std::size_t b = 0; b < 50000; ++b) {
+      const std::size_t n = 1 + b % 3;
+      std::array<std::atomic<int>, 3> hits{};
+      engine.run_host_batch(n, [&](std::size_t i, unsigned) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), i < n ? 1 : 0) << "batch " << b;
+      }
+    }
+  }
 }
 
 TEST(ExecutionEngine, PropagatesBodyExceptions) {
   const AssemblyOptions opts;
   const simt::DeviceSpec dev = simt::DeviceSpec::a100();
   WarpExecutionEngine engine(dev, simt::ProgrammingModel::kCuda, opts, 3);
-  EXPECT_THROW(
-      engine.run_batch(64, 1,
-                       [&](std::size_t i, WarpKernelContext&) {
-                         if (i == 40) throw std::runtime_error("boom");
-                       }),
-      std::runtime_error);
+  EXPECT_THROW(engine.run_host_batch(64,
+                                     [&](std::size_t i, unsigned) {
+                                       if (i == 40) {
+                                         throw std::runtime_error("boom");
+                                       }
+                                     }),
+               std::runtime_error);
   // Engine stays usable after a failed batch.
   std::atomic<std::size_t> count{0};
-  engine.run_batch(8, 1, [&](std::size_t, WarpKernelContext&) { ++count; });
+  engine.run_host_batch(8, [&](std::size_t, unsigned) { ++count; });
   EXPECT_EQ(count.load(), 8U);
 }
 
@@ -322,7 +373,7 @@ TEST(ExecutionEngine, IsolatedBatchQuarantinesOnlyTheFailingTask) {
         first_attempts[i].fetch_add(1, std::memory_order_relaxed);
       },
       [](std::size_t i) { return static_cast<std::uint64_t>(i); },
-      /*plan=*/nullptr, /*max_retries=*/2, /*batch_ordinal=*/0, report);
+      opts.plan(), /*max_retries=*/2, /*batch_ordinal=*/0, report);
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(first_attempts[i].load(), i == 40 ? 0 : 1) << i;
   }
@@ -335,7 +386,8 @@ TEST(ExecutionEngine, IsolatedBatchQuarantinesOnlyTheFailingTask) {
 
   // Engine stays usable for normal batches afterwards.
   std::atomic<std::size_t> count{0};
-  engine.run_batch(8, 1, [&](std::size_t, WarpKernelContext&) { ++count; });
+  run_warp_batch(engine, 8, 1,
+                 [&](std::size_t, WarpKernelContext&) { ++count; });
   EXPECT_EQ(count.load(), 8U);
 }
 

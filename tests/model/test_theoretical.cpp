@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace lassm::model {
 namespace {
 
@@ -11,6 +13,14 @@ struct TableVIRow {
   std::uint64_t bytes;
   double ii;
 };
+
+// ctest names each case after its printed parameter. Without this gtest
+// prints the raw bytes, padding included, so the names would change from
+// one run of the test binary to the next.
+void PrintTo(const TableVIRow& row, std::ostream* os) {
+  *os << "{k=" << row.k << ", intops=" << row.intops
+      << ", bytes=" << row.bytes << ", ii=" << row.ii << "}";
+}
 
 class TheoreticalTableVI : public ::testing::TestWithParam<TableVIRow> {};
 

@@ -1,5 +1,7 @@
 #include "pipeline/multi_gpu.hpp"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "resilience/fault_plan.hpp"
@@ -13,6 +15,41 @@ core::AssemblyInput dataset(std::uint32_t contigs = 60) {
   p.num_contigs = contigs;
   p.num_reads = contigs * 5;
   return workload::generate_dataset(p, 31);
+}
+
+std::vector<simt::DeviceSpec> a100s(std::size_t n) {
+  return std::vector<simt::DeviceSpec>(n, simt::DeviceSpec::a100());
+}
+
+/// The loss-free multi-GPU oracle, computed without the driver under test:
+/// partition_input's LPT split, one single-device LocalAssembler run per
+/// part, extensions scattered back to input order. Ranks run concurrently,
+/// so the makespan is the slowest part's modelled time.
+struct MultiGpuOracle {
+  std::vector<bio::ContigExtension> extensions;
+  double makespan_s = 0.0;
+};
+
+MultiGpuOracle multi_gpu_oracle(const core::AssemblyInput& in,
+                                std::uint32_t num_ranks) {
+  std::vector<std::uint32_t> rank_of;
+  const auto parts = partition_input(in, num_ranks, &rank_of);
+  const core::LocalAssembler assembler(simt::DeviceSpec::a100());
+  MultiGpuOracle oracle;
+  std::vector<std::vector<bio::ContigExtension>> per_part;
+  for (const core::AssemblyInput& part : parts) {
+    const core::AssemblyResult r = assembler.run(part);
+    oracle.makespan_s = std::max(oracle.makespan_s, r.total_time_s);
+    per_part.push_back(r.extensions);
+  }
+  std::vector<std::size_t> next_local(parts.size(), 0);
+  for (std::size_t id = 0; id < in.contigs.size(); ++id) {
+    const std::uint32_t r = rank_of[id];
+    bio::ContigExtension ext = per_part[r][next_local[r]++];
+    ext.contig_id = in.contigs[id].id;
+    oracle.extensions.push_back(std::move(ext));
+  }
+  return oracle;
 }
 
 TEST(Partition, CoversEveryContigOnce) {
@@ -69,7 +106,7 @@ TEST(MultiGpu, ResultsMatchSingleDevice) {
   const auto ref = single.run(in);
   for (std::uint32_t ranks : {1U, 2U, 5U}) {
     const MultiGpuResult r =
-        run_multi_gpu(in, simt::DeviceSpec::a100(), ranks);
+        run_multi_gpu_resilient(in, a100s(ranks), {}, nullptr);
     ASSERT_EQ(r.extensions.size(), ref.extensions.size());
     for (std::size_t i = 0; i < ref.extensions.size(); ++i) {
       EXPECT_EQ(r.extensions[i].left, ref.extensions[i].left) << i;
@@ -81,8 +118,8 @@ TEST(MultiGpu, ResultsMatchSingleDevice) {
 
 TEST(MultiGpu, MakespanShrinksWithRanks) {
   const auto in = dataset(120);
-  const auto r1 = run_multi_gpu(in, simt::DeviceSpec::a100(), 1);
-  const auto r4 = run_multi_gpu(in, simt::DeviceSpec::a100(), 4);
+  const auto r1 = run_multi_gpu_resilient(in, a100s(1), {}, nullptr);
+  const auto r4 = run_multi_gpu_resilient(in, a100s(4), {}, nullptr);
   EXPECT_LT(r4.makespan_s, r1.makespan_s);
   EXPECT_EQ(r1.ranks.size(), 1U);
   EXPECT_EQ(r4.ranks.size(), 4U);
@@ -92,7 +129,9 @@ TEST(MultiGpu, MakespanShrinksWithRanks) {
 
 TEST(MultiGpu, ReportsAccountEveryContig) {
   const auto in = dataset(50);
-  const auto r = run_multi_gpu(in, simt::DeviceSpec::mi250x_gcd(), 3);
+  const auto r = run_multi_gpu_resilient(
+      in, std::vector<simt::DeviceSpec>(3, simt::DeviceSpec::mi250x_gcd()),
+      {}, nullptr);
   std::uint64_t contigs = 0;
   for (const auto& rep : r.ranks) contigs += rep.contigs;
   EXPECT_EQ(contigs, in.contigs.size());
@@ -104,13 +143,9 @@ TEST(MultiGpu, ReportsAccountEveryContig) {
 // ---------------------------------------------------------------------------
 // Device-loss recovery (run_multi_gpu_resilient).
 
-std::vector<simt::DeviceSpec> a100s(std::size_t n) {
-  return std::vector<simt::DeviceSpec>(n, simt::DeviceSpec::a100());
-}
-
 TEST(MultiGpuResilient, NullOrEmptyPlanMatchesBaseline) {
   const auto in = dataset();
-  const auto base = run_multi_gpu(in, simt::DeviceSpec::a100(), 3);
+  const MultiGpuOracle base = multi_gpu_oracle(in, 3);
   const resilience::FaultPlan empty(9);
   for (const resilience::FaultPlan* plan :
        {static_cast<const resilience::FaultPlan*>(nullptr), &empty}) {
@@ -128,7 +163,7 @@ TEST(MultiGpuResilient, NullOrEmptyPlanMatchesBaseline) {
 
 TEST(MultiGpuResilient, LostRankIsRebalancedBitIdentically) {
   const auto in = dataset(60);
-  const auto base = run_multi_gpu(in, simt::DeviceSpec::a100(), 3);
+  const MultiGpuOracle base = multi_gpu_oracle(in, 3);
 
   resilience::FaultPlan plan(42);
   plan.add_device_loss(/*rank=*/1, /*after_batch=*/1);
@@ -165,7 +200,7 @@ TEST(MultiGpuResilient, LostRankIsRebalancedBitIdentically) {
 
 TEST(MultiGpuResilient, MultipleLossesRecoverOntoTheLastSurvivor) {
   const auto in = dataset(40);
-  const auto base = run_multi_gpu(in, simt::DeviceSpec::a100(), 3);
+  const MultiGpuOracle base = multi_gpu_oracle(in, 3);
   resilience::FaultPlan plan(1);
   plan.add_device_loss(0, 1);
   plan.add_device_loss(2, 1);
@@ -272,7 +307,7 @@ TEST(MultiGpuResilient, RankIdsCarryPhysicalIdentities) {
             (std::vector<std::uint32_t>{5U}));
 
   // Results are still bit-identical to the loss-free run.
-  const auto base = run_multi_gpu(in, simt::DeviceSpec::a100(), 2);
+  const MultiGpuOracle base = multi_gpu_oracle(in, 2);
   ASSERT_EQ(r.extensions.size(), base.extensions.size());
   for (std::size_t i = 0; i < base.extensions.size(); ++i) {
     EXPECT_EQ(r.extensions[i].left, base.extensions[i].left) << i;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "bio/rng.hpp"
+#include "resilience/fault_plan.hpp"
 
 namespace lassm::pipeline {
 namespace {
@@ -113,6 +114,32 @@ TEST(Pipeline, IterationReportsAreMonotone) {
   // Contigs never shrink across iterations (extension only grows them).
   for (std::size_t i = 1; i < r.iterations.size(); ++i) {
     EXPECT_GE(r.iterations[i].total_bases, r.iterations[i - 1].total_bases);
+  }
+}
+
+TEST(Pipeline, ResultReportsQuarantinedTasks) {
+  // Every launch runs isolated, so a task that keeps failing is
+  // quarantined instead of escaping run_pipeline; the result must still
+  // say so, merged over the rounds.
+  const std::string genome = random_seq(5, 4000);
+  const bio::ReadSet reads = shotgun(genome, 8.0, 120, 6);
+  PipelineOptions opts;
+  opts.k_iterations = {21, 33};
+  const PipelineResult clean =
+      run_pipeline(reads, simt::DeviceSpec::a100(), opts);
+  EXPECT_TRUE(clean.failures.clean()) << clean.failures.summary();
+
+  resilience::FaultPlan plan(17);
+  plan.arm(resilience::Seam::kBadInput, 0.25);  // persistent: quarantines
+  opts.assembly.fault_plan = &plan;
+  const PipelineResult faulted =
+      run_pipeline(reads, simt::DeviceSpec::a100(), opts);
+  EXPECT_GT(faulted.failures.tasks_quarantined, 0U);
+  EXPECT_EQ(faulted.failures.faults.size(),
+            faulted.failures.tasks_quarantined);
+  for (const resilience::TaskFault& f : faulted.failures.faults) {
+    EXPECT_TRUE(f.quarantined);
+    EXPECT_EQ(f.code, ErrorCode::kCorruptInput);
   }
 }
 

@@ -371,7 +371,7 @@ TEST(EngineTrace, RecordsChunksAndSteals) {
   // Every interleaving records at least one steal — guaranteed, not a
   // scheduling accident.
   std::atomic<unsigned> others_done{0};
-  engine.run_batch(8, 1, [&](std::size_t i, core::WarpKernelContext&) {
+  engine.run_host_batch(8, [&](std::size_t i, unsigned) {
     if (i == 0) {
       while (others_done.load(std::memory_order_acquire) < 7) {
         std::this_thread::yield();
@@ -533,7 +533,7 @@ TEST(Export, ChromeTraceParsesAndRoundTrips) {
     core::WarpExecutionEngine engine(simt::DeviceSpec::a100(),
                                      simt::ProgrammingModel::kCuda, opts, 2);
     std::atomic<unsigned> others_done{0};
-    engine.run_batch(8, 1, [&](std::size_t i, core::WarpKernelContext&) {
+    engine.run_host_batch(8, [&](std::size_t i, unsigned) {
       if (i == 0) {
         while (others_done.load(std::memory_order_acquire) < 7) {
           std::this_thread::yield();
