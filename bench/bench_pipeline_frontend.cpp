@@ -240,6 +240,11 @@ int main() {
   csv.row("count_concurrent", kBaselineCountS, conc_1t, conc_4t,
           kBaselineCountS / conc_1t);
 
+  // Same-run ratio: both sides come from this invocation on this host, so
+  // unlike the seed-baseline speedups it compares no seconds across hosts.
+  const double dbg_speedup_4t = serial.dbg_s / pooled.dbg_s;
+  std::cout << "  dbg 1t/4t: " << dbg_speedup_4t << "x\n";
+
   const std::string path = model::results_dir() + "/BENCH_frontend.json";
   std::ofstream js(path);
   js << "{\n"
@@ -252,7 +257,8 @@ int main() {
            {"speedup_pipeline",
             kBaselinePipelineS / serial.pipeline_s, "higher", 0.4},
            {"count_conc_over_merge_1t", merge_1t / conc_1t, "higher", 0.4},
-           {"count_conc_over_merge_4t", merge_4t / conc_4t, "higher", 0.4}});
+           {"count_conc_over_merge_4t", merge_4t / conc_4t, "higher", 0.4},
+           {"dbg_speedup_4t", dbg_speedup_4t, "higher", 0.4}});
   js << "  \"workload\": {\"reads\": " << reads.size()
      << ", \"bases\": " << reads.total_bases()
      << ", \"k21_windows\": " << windows << "},\n"
@@ -272,6 +278,7 @@ int main() {
      << stream_stats.peak_resident_bases << ",\n"
      << "  \"count_s_4t\": " << pooled.count_s << ",\n"
      << "  \"dbg_s_4t\": " << pooled.dbg_s << ",\n"
+     << "  \"dbg_speedup_4t\": " << dbg_speedup_4t << ",\n"
      << "  \"align_s_4t\": " << pooled.align_s << ",\n"
      << "  \"pipeline_s_4t\": " << pooled.pipeline_s << ",\n"
      << "  \"baseline\": {\n"

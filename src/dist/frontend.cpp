@@ -134,14 +134,22 @@ std::size_t filter_low_count_dist(DistKmerTable& table,
 
 namespace {
 
-/// Per-rank view of the distributed graph: the rank's owned nodes in
-/// sorted order plus classification results. Degree/code/visited arrays
-/// are indexed by the local table's dense slot id (the oracle's visited
-/// bitmap scheme), so a walk arriving at any owned node finds its state
-/// with one dense_find.
+/// One owned live node: its key, dense slot id in the rank's local table
+/// and count.
+struct OwnedNode {
+  bio::PackedKmer key;
+  std::uint64_t id;
+  std::uint32_t count;
+};
+
+/// Per-rank view of the distributed graph: the rank's owned live nodes in
+/// shard-slot order plus classification results. Degree/code/visited
+/// arrays are indexed by the local table's dense slot id (the oracle's
+/// visited bitmap scheme), so a walk arriving at any owned node finds its
+/// state with one dense_find. No step needs a global node order: pass-1
+/// records are sorted by head and pass-2 candidates are sorted globally.
 struct RankGraph {
-  std::vector<bio::PackedKmer> nodes;      ///< owned nodes, sorted
-  std::vector<std::uint64_t> node_id;      ///< dense id per node index
+  std::vector<OwnedNode> nodes;            ///< shard-slot order
   std::array<std::uint64_t, Table::kShards + 1> offsets{};
   std::vector<std::uint8_t> out_deg;       ///< by dense id
   std::vector<std::int8_t> out_code;       ///< last present successor code
@@ -307,48 +315,6 @@ class WalkEngine {
   std::vector<char> scratch_;
 };
 
-/// Extracts a rank's owned nodes in sorted order (per-shard extract +
-/// sort + heap merge — the oracle's order construction restricted to the
-/// rank's shards).
-void build_node_order(const pipeline::KmerCounts& counts, RankGraph& g,
-                      core::WarpExecutionEngine* pool) {
-  const Table& table = counts.table();
-  std::array<std::vector<bio::PackedKmer>, Table::kShards> per_shard;
-  pipeline::stage_for(pool, Table::kShards, [&](std::size_t shard, unsigned) {
-    std::vector<bio::PackedKmer>& keys = per_shard[shard];
-    keys.reserve(table.shard_entries(static_cast<std::uint32_t>(shard)));
-    table.for_each_in_shard(static_cast<std::uint32_t>(shard),
-                            [&](const Table::Entry& e) {
-                              if (e.value != 0) keys.push_back(e.key);
-                            });
-    std::sort(keys.begin(), keys.end());
-  });
-
-  g.nodes.reserve(counts.size());
-  struct Cursor {
-    const bio::PackedKmer* cur;
-    const bio::PackedKmer* end;
-  };
-  const auto later = [](const Cursor& a, const Cursor& b) {
-    return *b.cur < *a.cur;
-  };
-  std::vector<Cursor> heap;
-  for (const auto& keys : per_shard) {
-    if (!keys.empty()) heap.push_back({keys.data(), keys.data() + keys.size()});
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    Cursor& c = heap.back();
-    g.nodes.push_back(*c.cur);
-    if (++c.cur == c.end) {
-      heap.pop_back();
-    } else {
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-  }
-}
-
 }  // namespace
 
 bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
@@ -363,9 +329,23 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
   std::vector<RankGraph> graphs(map.n_ranks());
   for (const std::uint32_t rank : live) {
     RankGraph& g = graphs[rank];
-    build_node_order(table.local(rank), g, pool);
-    g.offsets = table.local(rank).table().dense_offsets();
-    g.node_id.resize(g.nodes.size());
+    const Table& local = table.local(rank).table();
+    g.offsets = local.dense_offsets();
+    std::array<std::vector<OwnedNode>, Table::kShards> per_shard;
+    pipeline::stage_for(pool, Table::kShards, [&](std::size_t shard, unsigned) {
+      const auto sid = static_cast<std::uint32_t>(shard);
+      local.for_each_slot_in_shard(
+          sid, [&](std::size_t slot, const Table::Entry& e) {
+            if (e.value != 0) {
+              per_shard[shard].push_back({e.key, g.offsets[sid] + slot,
+                                          e.value});
+            }
+          });
+    });
+    g.nodes.reserve(table.local(rank).size());
+    for (const auto& v : per_shard) {
+      g.nodes.insert(g.nodes.end(), v.begin(), v.end());
+    }
     g.out_deg.assign(g.offsets.back(), 0);
     g.out_code.assign(g.offsets.back(), -1);
     g.in_deg.assign(g.offsets.back(), 0);
@@ -379,12 +359,12 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
   // present edge code reproduce the oracle's out_degree/in_degree
   // only_code/only_pred convention exactly.
   for (const std::uint32_t rank : live) {
-    for (const bio::PackedKmer& km : graphs[rank].nodes) {
+    for (const OwnedNode& n : graphs[rank].nodes) {
       for (int code = 0; code < bio::kNumBases; ++code) {
-        table.find_enqueue(rank, km.successor(code));
+        table.find_enqueue(rank, n.key.successor(code));
       }
       for (int code = 0; code < bio::kNumBases; ++code) {
-        table.find_enqueue(rank, km.predecessor(code));
+        table.find_enqueue(rank, n.key.predecessor(code));
       }
     }
   }
@@ -395,12 +375,10 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
   std::vector<std::vector<std::int8_t>> pred_code(map.n_ranks());
   for (const std::uint32_t rank : live) {
     RankGraph& g = graphs[rank];
-    const Table& local = table.local(rank).table();
     const std::vector<std::uint32_t> vals = table.collect_finds(rank);
     pred_code[rank].assign(g.nodes.size(), -1);
     for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-      const Table::Found f = local.dense_find(g.nodes[i], g.offsets);
-      g.node_id[i] = f.id;
+      const std::uint64_t id = g.nodes[i].id;
       int out = 0;
       int out_code = -1;
       int in = 0;
@@ -414,9 +392,9 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
           pred_code[rank][i] = static_cast<std::int8_t>(code);
         }
       }
-      g.out_deg[f.id] = static_cast<std::uint8_t>(out);
-      g.out_code[f.id] = static_cast<std::int8_t>(out_code);
-      g.in_deg[f.id] = static_cast<std::uint8_t>(in);
+      g.out_deg[id] = static_cast<std::uint8_t>(out);
+      g.out_code[id] = static_cast<std::int8_t>(out_code);
+      g.in_deg[id] = static_cast<std::uint8_t>(in);
       if (out > 1) ++g.forks;
       if (out == 0) ++g.dead_ends;
     }
@@ -428,8 +406,9 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
   for (const std::uint32_t rank : live) {
     RankGraph& g = graphs[rank];
     for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-      if (g.in_deg[g.node_id[i]] != 1) continue;
-      const bio::PackedKmer pred = g.nodes[i].predecessor(pred_code[rank][i]);
+      if (g.in_deg[g.nodes[i].id] != 1) continue;
+      const bio::PackedKmer pred =
+          g.nodes[i].key.predecessor(pred_code[rank][i]);
       for (int code = 0; code < bio::kNumBases; ++code) {
         table.find_enqueue(rank, pred.successor(code));
       }
@@ -443,7 +422,7 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
     const std::vector<std::uint32_t> vals = table.collect_finds(rank);
     std::size_t probed = 0;
     for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-      if (g.in_deg[g.node_id[i]] != 1) {
+      if (g.in_deg[g.nodes[i].id] != 1) {
         g.is_head[i] = 1;
         continue;
       }
@@ -464,12 +443,10 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
   std::vector<WalkRecord> pass1;
   engine.set_sink(&pass1);
   for (const std::uint32_t rank : live) {
-    RankGraph& g = graphs[rank];
-    const Table& local = table.local(rank).table();
+    const RankGraph& g = graphs[rank];
     for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-      if (g.is_head[i] == 0) continue;
-      const Table::Found f = local.dense_find(g.nodes[i], g.offsets);
-      engine.start(rank, g.nodes[i], f.id, *f.value);
+      const OwnedNode& n = g.nodes[i];
+      if (g.is_head[i] != 0) engine.start(rank, n.key, n.id, n.count);
     }
   }
   engine.drain(live);
@@ -479,26 +456,25 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
             });
 
   // Pass 2: whatever pass 1 left unvisited sits inside a perfect cycle.
-  // The oracle breaks each cycle at its smallest member by scanning ALL
-  // nodes in global sorted order; we gather the (few) unvisited
-  // candidates, sort them globally, and walk them one at a time — each
-  // walk completes (drained) before the next candidate's visited check.
-  std::vector<std::pair<bio::PackedKmer, std::uint32_t>> candidates;
+  // The oracle breaks each cycle at its smallest unvisited member; we
+  // gather the (few) unvisited candidates, sort them globally, and walk
+  // them one at a time — each walk completes (drained) before the next
+  // candidate's visited check.
+  std::vector<std::pair<OwnedNode, std::uint32_t>> candidates;
   for (const std::uint32_t rank : live) {
-    const RankGraph& g = graphs[rank];
-    for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-      if (g.visited[g.node_id[i]] == 0) candidates.emplace_back(g.nodes[i], rank);
+    for (const OwnedNode& n : graphs[rank].nodes) {
+      if (graphs[rank].visited[n.id] == 0) candidates.emplace_back(n, rank);
     }
   }
   std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const auto& a, const auto& b) {
+              return a.first.key < b.first.key;
+            });
   std::vector<WalkRecord> pass2;
   engine.set_sink(&pass2);
-  for (const auto& [km, rank] : candidates) {
-    RankGraph& g = graphs[rank];
-    const Table::Found f = table.local(rank).table().dense_find(km, g.offsets);
-    if (g.visited[f.id] != 0) continue;
-    engine.start(rank, km, f.id, *f.value);
+  for (const auto& [n, rank] : candidates) {
+    if (graphs[rank].visited[n.id] != 0) continue;
+    engine.start(rank, n.key, n.id, n.count);
     engine.drain(live);
   }
 

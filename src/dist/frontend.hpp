@@ -52,13 +52,15 @@ std::size_t filter_low_count_dist(DistKmerTable& table,
                                   core::WarpExecutionEngine* pool);
 
 /// Distributed de Bruijn contig generation, bit-identical to
-/// pipeline::generate_contigs on the merged table. Each rank classifies
-/// its owned nodes with batched remote degree probes (two find epochs:
-/// successor/predecessor presence, then the unique predecessor's
-/// out-degree for head detection), walks unitigs from its heads with
-/// cross-rank handoff via batched walk messages, and a final serial pass
-/// in global sorted order breaks the remaining pure cycles exactly where
-/// the oracle breaks them.
+/// pipeline::generate_contigs on the merged table. Each rank lists its
+/// owned live nodes in shard-slot order (no global node order is built)
+/// and classifies them with batched remote degree probes (two find
+/// epochs: successor/predecessor presence, then the unique predecessor's
+/// out-degree for head detection). It walks unitigs from its heads with
+/// cross-rank handoff via batched walk messages; the pass-1 records are
+/// sorted by head. A final serial pass over the unvisited nodes, sorted
+/// globally, breaks the remaining pure cycles exactly where
+/// generate_contigs breaks them.
 bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
                                      std::uint32_t min_len,
                                      pipeline::DbgStats* stats,

@@ -28,12 +28,16 @@ struct DbgStats {
 /// k-mer order.
 ///
 /// The node set IS the count map — membership probes hit its sharded flat
-/// table directly (no separate hash set). With a parallel `pool`, the
-/// sorted node order is built by per-shard extraction + sort and a serial
-/// 64-way merge, and the head/degree classification pass runs chunked
-/// across workers; the path traversal itself stays serial (it is
-/// inherently ordered), so contigs, depths and stats are bit-identical to
-/// the serial oracle at every thread count.
+/// table directly (no separate hash set). Every live node's in/out degree
+/// and edge codes are probed once, in a per-shard pass, and kept by dense
+/// slot id. The path heads (a few hundred on a metagenome) are sorted, and
+/// their walks run concurrently: a walk absorbs only nodes with in-degree
+/// 1 behind its own out-degree-1 node, so walks never share a node, and
+/// records are emitted in head order. Only the pass-2 cycle breaker runs
+/// serially. With a null or 1-worker `pool` the same passes run inline;
+/// contigs, depths and stats are bit-identical at every thread count
+/// (tests/support/dbg_oracle.hpp keeps the original serial algorithm as
+/// the differential oracle).
 bio::ContigSet generate_contigs(const KmerCounts& counts, std::uint32_t k,
                                 std::uint32_t min_len = 0,
                                 DbgStats* stats = nullptr,

@@ -131,6 +131,17 @@ class FlatKmerTable {
     }
   }
 
+  /// for_each_in_shard that also passes each entry's slot index within
+  /// the shard: f(slot, entry). The entry's dense id (dense_offsets
+  /// below) is offsets[shard] + slot, with no probe.
+  template <class F>
+  void for_each_slot_in_shard(std::uint32_t shard, F&& f) const {
+    const std::vector<Entry>& slots = shards_[shard].slots;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (slots[i].used()) f(i, slots[i]);
+    }
+  }
+
   /// Global slot numbering for read-only side tables (e.g. the de Bruijn
   /// traversal's visited bitmap): the dense id of shard s's slot i is
   /// offsets[s] + i, and offsets[kShards] is the total slot count. Valid

@@ -268,6 +268,43 @@ TEST(FrontendParallel, AlignmentMatchesGoldenAtEveryThreadCount) {
   }
 }
 
+// The golden workload above has only two unitigs, so its contig walk is
+// barely concurrent. This graph has thousands of short ones (every fourth
+// sequence forks off its predecessor's prefix), so the head-parallel walk
+// really runs on the pool: repeated 8-worker runs are the TSan workload
+// for its visited bitmap and per-head records, and each must equal the
+// serial run.
+TEST(FrontendParallel, ContigWalkOverThousandsOfUnitigsIsStable) {
+  constexpr std::uint32_t kK = 15;
+  bio::Xoshiro256 rng(31);
+  bio::ReadSet reads;
+  std::string prev;
+  for (int i = 0; i < 2000; ++i) {
+    std::string s(kK + 8 + rng.below(8), 'A');
+    for (char& c : s) c = bio::code_to_base(static_cast<int>(rng.below(4)));
+    if (i % 4 == 3) s.replace(0, kK + 2, prev, 0, kK + 2);
+    reads.append(s, 35);
+    prev = s;
+  }
+  const KmerCounts counts = count_kmers(reads, kK);
+  DbgStats serial_stats;
+  const std::uint64_t serial =
+      fingerprint_contigs(generate_contigs(counts, kK, 0, &serial_stats));
+  ASSERT_GT(serial_stats.contigs, 2000U);
+  ASSERT_GT(serial_stats.forks, 100U);
+
+  const auto pool = make_pool(8);
+  for (int rep = 0; rep < 50; ++rep) {
+    DbgStats stats;
+    const bio::ContigSet contigs =
+        generate_contigs(counts, kK, 0, &stats, pool.get());
+    ASSERT_EQ(fingerprint_contigs(contigs), serial) << "rep " << rep;
+    ASSERT_EQ(stats.contigs, serial_stats.contigs) << "rep " << rep;
+    ASSERT_EQ(stats.forks, serial_stats.forks) << "rep " << rep;
+    ASSERT_EQ(stats.dead_ends, serial_stats.dead_ends) << "rep " << rep;
+  }
+}
+
 // run_host_batch is the scheduling primitive under every parallel stage:
 // every index must run exactly once, worker ids must be in range, and a
 // body exception must propagate to the caller.

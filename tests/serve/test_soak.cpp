@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "serve/loadgen.hpp"
 #include "serve/service.hpp"
@@ -95,6 +98,29 @@ TEST(ServeSoak, FaultStormOverloadAccountsEveryJobExactlyOnce) {
       << "submitted=" << report.submitted
       << " completed=" << report.completed << " shed=" << report.shed
       << " failed=" << report.failed;
+  testutil::expect_accounted(service);
+
+  // Deterministic closed read-back. The open loop can store a
+  // corrupt-selected dataset's result and never dispatch that dataset
+  // again, so whether the seam fires there is down to timing. Here every
+  // distinct dataset runs to a terminal non-shed state twice, one job at
+  // a time: the first pass stores (or reads) each cacheable result, the
+  // second reads every stored one back, so each corrupt-selected entry is
+  // read after its store.
+  const std::vector<core::AssemblyInput> datasets = make_job_pool(lg);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const core::AssemblyInput& in : datasets) {
+      for (int attempt = 0; attempt < 50; ++attempt) {
+        if (service.submit("readback", in)->wait().state != JobState::kShed) {
+          break;
+        }
+        // Shed by the quota, the breaker or a seam: wait out the refill
+        // and cooldown, then resubmit under a fresh job key.
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+  }
+  service.drain();
   testutil::expect_accounted(service);
 
   const ServiceCounters c = service.counters();
