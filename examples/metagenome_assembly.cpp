@@ -10,11 +10,12 @@
 //                         [--ranks N] [--trace t.json] [--metrics m.json]
 //                         [--log-level LEVEL] [--flight-dir DIR]
 //
-// `--ranks` (or LASSM_RANKS) runs the distributed pipeline instead:
-// the k-mer table and de Bruijn graph are sharded across N simulated
-// ranks with batched owner-computes messaging billed against the
-// device's network model. Contigs are bit-identical at every rank
-// count; the run additionally reports the message-layer traffic.
+// `--ranks` (or LASSM_RANKS) shards the k-mer table and de Bruijn graph
+// across N simulated ranks with batched owner-computes messaging billed
+// against the device's network model (default 1: the single-rank
+// pipeline). Contigs are bit-identical at every rank count; a multi-rank
+// run additionally reports the message-layer traffic. With a fault plan
+// set, every run prints the faults it absorbed.
 //
 // `--trace` (or LASSM_TRACE) records the whole pipeline — stage spans, one
 // sim timeline per k-round's launches, per-worker host tracks — as Chrome
@@ -32,7 +33,6 @@
 #include "bio/fasta.hpp"
 #include "bio/rng.hpp"
 #include "dist/pipeline.hpp"
-#include "pipeline/pipeline.hpp"
 #include "resilience/fault_plan.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
@@ -153,24 +153,21 @@ int main(int argc, char** argv) {
     opts.assembly.fault_plan = &*fault_plan;
     std::cout << "fault plan: " << fault_plan->to_spec() << "\n";
   }
-  pipeline::PipelineResult result;
-  if (ranks > 1) {
-    dist::DistOptions dopts;
-    dopts.ranks = ranks;
-    dopts.pipeline = opts;
-    const dist::DistResult dr =
-        dist::run_distributed(reads, device, dopts, &std::cout);
-    result = dr.pipeline;
+  dist::DistOptions dopts;
+  dopts.ranks = ranks;
+  dopts.pipeline = opts;
+  const dist::DistResult dr =
+      dist::run_distributed(reads, device, dopts, &std::cout);
+  const pipeline::PipelineResult& result = dr.pipeline;
+  if (dr.ranks.size() > 1) {
     std::cout << "\ndistributed over " << dr.ranks.size() << " ranks on "
               << device.name << ": " << dr.traffic.msgs
               << " remote messages in " << dr.traffic.batches
               << " batches (" << dr.traffic.bytes << " bytes), modelled "
               << "network time " << dr.network_s * 1e3 << " ms\n";
-    if (fault_plan.has_value()) {
-      std::cout << "failures: " << dr.failures.summary() << "\n";
-    }
-  } else {
-    result = pipeline::run_pipeline(reads, device, opts, &std::cout);
+  }
+  if (fault_plan.has_value()) {
+    std::cout << "failures: " << result.failures.summary() << "\n";
   }
 
   // 4) Summary + FASTA output.

@@ -18,7 +18,9 @@
 # framing/recovery paths — the error paths exercised by injected faults
 # and corrupted inputs must be leak-, overflow- and UB-clean, not just
 # reach the right verdict.
-# Finishes with a Release perf smoke (the memsim and front-end benches
+# Finishes with the Release gates, each run to the end even when an
+# earlier one fails (the script then exits non-zero naming every failed
+# gate): a perf smoke (the memsim and front-end benches
 # must still beat their recorded seed baselines) and the autotune gate:
 # two fresh tuner runs over the device zoo must agree byte-for-byte, show
 # tuned <= default everywhere, hold the recorded speedup floors, and both
@@ -179,15 +181,37 @@ echo "check.sh: serving soak gate clean (10000 jobs)."
 
 echo "check.sh: ASan+UBSan run clean."
 
-# Release perf smoke: the hot-path bench carries its seed-build baseline;
-# demand the probe loop still clears a healthy margin over it (the
-# overhaul measured ~2.8x — 1.5x leaves room for machine noise without
-# letting a real regression through).
+# --- Release gates. ----------------------------------------------------
+# Every gate runs whatever the others report: a gate's failure is recorded
+# by name, and the script exits non-zero at the end naming each failed
+# gate, so one slow host metric never hides the verdicts of the gates
+# after it.
 PERF_BUILD="${BUILD}-perf"
 cmake -B "$PERF_BUILD" -S . \
   -DCMAKE_BUILD_TYPE=Release \
   -DLASSM_BUILD_BENCH=ON \
   -DLASSM_BUILD_EXAMPLES=OFF > /dev/null
+
+FAILED_GATES=()
+# run_gate NAME FUNCTION: runs FUNCTION in a subshell with errexit on (so
+# its first failing command ends it) and records NAME if it fails.
+run_gate() {
+  local name="$1" rc=0
+  set +e
+  ( set -e; "$2" )
+  rc=$?
+  set -e
+  if [ "$rc" -ne 0 ]; then
+    echo "check.sh: FAIL - gate '$name' (exit $rc)"
+    FAILED_GATES+=("$name")
+  fi
+}
+
+# Memsim probe gate: the hot-path bench carries its seed-build baseline;
+# demand the probe loop still clears a healthy margin over it (the
+# overhaul measured ~2.8x — 1.5x leaves room for machine noise without
+# letting a real regression through).
+memsim_probe_gate() {
 cmake --build "$PERF_BUILD" -j --target bench_memsim_throughput > /dev/null
 LASSM_RESULTS_DIR="$PERF_BUILD/results" "$PERF_BUILD/bench/bench_memsim_throughput"
 python3 - "$PERF_BUILD/results/BENCH_memsim.json" <<'EOF'
@@ -199,12 +223,16 @@ print(f"check.sh: probe speedup vs seed baseline: {speedup:.2f}x")
 if speedup < 1.5:
     sys.exit("check.sh: FAIL - memsim probe loop regressed below 1.5x of the recorded baseline")
 EOF
+echo "check.sh: memsim probe gate clean."
+}
+run_gate memsim-probe memsim_probe_gate
 
 # Same deal for the pipeline front-end: its bench records the seed-build
 # per-stage wall clock; single-thread k-mer counting must still clear a
 # healthy margin over it (the flat-table + rolling-window overhaul
 # measured well above 2x — 1.5x absorbs machine noise without letting a
 # real regression through).
+frontend_smoke_gate() {
 cmake --build "$PERF_BUILD" -j --target bench_pipeline_frontend > /dev/null
 LASSM_RESULTS_DIR="$PERF_BUILD/results" "$PERF_BUILD/bench/bench_pipeline_frontend"
 python3 - "$PERF_BUILD/results/BENCH_frontend.json" <<'EOF'
@@ -227,7 +255,9 @@ if conc_1t > merge_1t * 1.10:
 if conc_4t > merge_4t:
     sys.exit("check.sh: FAIL - concurrent counting did not beat the merge path on the pool")
 EOF
-echo "check.sh: perf smoke clean."
+echo "check.sh: front-end smoke clean."
+}
+run_gate frontend-smoke frontend_smoke_gate
 
 # Autotuner gate: two fresh (cache-bypassed) tuner runs over the device
 # zoo must produce byte-identical artifacts — the tuner's objective is
@@ -236,6 +266,7 @@ echo "check.sh: perf smoke clean."
 # floors holding, and a tuned improvement on at least two devices. Both
 # artifacts must parse (json.tool for the JSON, csv.reader for the
 # scorecard).
+autotune_gate() {
 cmake --build "$PERF_BUILD" -j --target bench_autotune > /dev/null
 AT_RUN1="$PERF_BUILD/results"
 AT_RUN2="$PERF_BUILD/results-autotune-rerun"
@@ -273,6 +304,8 @@ if len(rows) < 2 + len(j["devices"]) or rows[-1][0] != "portability":
 print(f"check.sh: tuner improved {improved}/{len(j['devices'])} zoo devices; scorecard has {len(rows)} rows.")
 EOF
 echo "check.sh: autotune gate clean."
+}
+run_gate autotune autotune_gate
 
 # Bench-history gate: re-run the remaining metric-enveloped benches fresh
 # (memsim, frontend and autotune already wrote into $PERF_BUILD/results
@@ -280,6 +313,7 @@ echo "check.sh: autotune gate clean."
 # per-commit baselines in results/history/ with its declared direction and
 # tolerance. Then the gate's own self-test: a synthetic 20% shove in the
 # bad direction must trip it — a gate that cannot fail protects nothing.
+bench_history_gate() {
 cmake --build "$PERF_BUILD" -j \
   --target bench_fig5_kernel_time bench_scaling_threads \
   bench_serving bench_distributed > /dev/null
@@ -298,3 +332,11 @@ LASSM_RESULTS_DIR="$PERF_BUILD/results" \
 LASSM_RESULTS_DIR="$PERF_BUILD/results" \
   python3 scripts/bench_history.py check --synthetic-regression
 echo "check.sh: bench-history gate clean."
+}
+run_gate bench-history bench_history_gate
+
+if [ "${#FAILED_GATES[@]}" -ne 0 ]; then
+  echo "check.sh: FAILED Release gates: ${FAILED_GATES[*]}"
+  exit 1
+fi
+echo "check.sh: all Release gates clean."

@@ -35,10 +35,12 @@ struct PipelineOptions {
   /// Checkpoint file path ("" = checkpointing off). With a path set, the
   /// pipeline state is written after k-mer analysis / contig generation and
   /// after every completed k-round; a fresh run that finds a loadable
-  /// checkpoint whose configuration matches (same contig_k and k ladder)
-  /// resumes from the last completed round instead of starting over. The
-  /// resumed run's result is bit-identical to an uninterrupted one: the
-  /// checkpoint round-trips contig depths and modelled times exactly.
+  /// checkpoint whose configuration matches (same contig_k, k ladder and
+  /// rank count) resumes from the last completed round instead of starting
+  /// over. The resumed run's result is bit-identical to an uninterrupted
+  /// one: the checkpoint round-trips contig depths and modelled times
+  /// exactly, and replays the rank losses so later rounds see the same
+  /// live fleet.
   std::string checkpoint_path;
 };
 
@@ -58,8 +60,10 @@ struct IterationReport {
 
 /// Host wall-clock seconds of the pre-round front-end stages; measured on
 /// every run and mirrored onto the trace metrics gauges when tracing.
-/// Observability only — not checkpointed (a resumed run reports 0 for the
-/// stages it skipped).
+/// Observability only — not checkpointed. Like the distributed run's
+/// message traffic and per-rank read/k-mer counts, these cover only the
+/// stages the run executed: a resumed run reports 0 for the stages it
+/// skipped.
 struct FrontendTimings {
   double count_s = 0.0;   ///< k-mer counting
   double filter_s = 0.0;  ///< low-count filter
@@ -74,19 +78,26 @@ struct PipelineResult {
   FrontendTimings frontend;
   std::vector<IterationReport> iterations;
   /// Task faults the local-assembly rounds absorbed (retried or
-  /// quarantined tasks, watchdog aborts, injected seams), merged over the
-  /// rounds this run executed. Not checkpointed: a resumed run reports
-  /// only the rounds it ran.
+  /// quarantined tasks, watchdog aborts, injected seams) and, in a
+  /// multi-rank run, the ranks lost (rebalances, devices_lost), merged over
+  /// the stages this run executed. Not checkpointed: a resumed run reports
+  /// only the stages it ran.
   resilience::FailureReport failures;
 };
 
 /// On-disk pipeline state between k-rounds: everything stage 3 needs to
-/// continue (contigs so far, per-round reports, stage-1/2 summary numbers)
-/// plus the configuration fingerprint used to reject checkpoints from a
-/// differently-configured run.
+/// continue (contigs so far, per-round reports, stage-1/2 summary numbers,
+/// the ranks lost so far) plus the configuration fingerprint used to
+/// reject checkpoints from a differently-configured run. The rank count is
+/// part of the fingerprint because a multi-rank round's kernel_time_s is
+/// the fleet makespan.
 struct PipelineCheckpoint {
   std::uint32_t contig_k = 0;
   std::vector<std::uint32_t> k_iterations;  ///< full ladder of the run
+  std::uint32_t ranks = 1;                  ///< simulated ranks of the run
+  /// Ranks lost so far, in loss order: a resume replays ShardMap::adopt in
+  /// this order to recover the live set and the shard ownership.
+  std::vector<std::uint32_t> lost_ranks;
   std::uint32_t rounds_done = 0;            ///< completed stage-3 rounds
   std::uint64_t kmers_total = 0;
   std::uint64_t kmers_filtered = 0;
@@ -111,6 +122,10 @@ Result<PipelineCheckpoint> load_checkpoint_file(const std::string& path);
 
 /// Assembles `reads` on the given device model. `log` (optional) receives a
 /// line per stage.
+///
+/// This is dist::run_distributed at one rank (defined in lassm_dist, which
+/// callers link): one driver runs the k-round ladder, checkpoint/resume
+/// and failure reporting at every rank count.
 ///
 /// The pipeline creates a single warp-execution pool of assembly.n_threads
 /// workers up front and shares it across the front-end stages (k-mer

@@ -3,7 +3,9 @@
 // threads) combination, traced or untraced, with an armed-but-empty fault
 // plan — and recovers bit-identically from rank loss at every phase
 // (pre-count, post-count recount, pre-round) and from device loss
-// mid-round, emitting RebalanceEvents and flight-recorder incidents.
+// mid-round, emitting RebalanceEvents and flight-recorder incidents. A
+// multi-rank run checkpoints and resumes like the one-rank run, which is
+// run_pipeline itself.
 
 #include "dist/pipeline.hpp"
 
@@ -11,12 +13,15 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bio/rng.hpp"
 #include "dist/partition.hpp"
+#include "model/profile_report.hpp"
 #include "resilience/fault_plan.hpp"
 #include "trace/log.hpp"
 #include "trace/metrics.hpp"
@@ -155,7 +160,8 @@ TEST(DistPipeline, MatchesOracleAcrossRanksAndThreads) {
       } else {
         EXPECT_DOUBLE_EQ(r.network_s, 0.0);
       }
-      EXPECT_TRUE(r.failures.clean()) << r.failures.summary();
+      EXPECT_TRUE(r.pipeline.failures.clean())
+          << r.pipeline.failures.summary();
     }
   }
 }
@@ -193,8 +199,9 @@ TEST(DistPipeline, TracedAndArmedEmptyRunsAreBitIdentical) {
             r.traffic.flushes);
   EXPECT_DOUBLE_EQ(m.gauge(trace::names::kDistNetworkSeconds).value(),
                    r.network_s);
-  EXPECT_NE(log.str().find("[dist] k-mer analysis"), std::string::npos);
-  EXPECT_NE(log.str().find("[dist] traffic:"), std::string::npos);
+  EXPECT_NE(log.str().find("[pipeline] k-mer analysis (4 ranks)"),
+            std::string::npos);
+  EXPECT_NE(log.str().find("[pipeline] traffic:"), std::string::npos);
 }
 
 TEST(DistPipeline, LogStreamIsThreadCountInvariant) {
@@ -233,8 +240,8 @@ TEST(DistPipeline, PreCountRankLossRecoversBitIdentically) {
   const DistResult r = run_distributed(reads, device, opts);
 
   expect_same_pipeline(r.pipeline, oracle, /*compare_kernel_time=*/true);
-  EXPECT_EQ(r.failures.rebalances.size(), 3U);
-  EXPECT_EQ(r.failures.devices_lost, 3U);
+  EXPECT_EQ(r.pipeline.failures.rebalances.size(), 3U);
+  EXPECT_EQ(r.pipeline.failures.devices_lost, 3U);
   EXPECT_GE(count_flight_incidents("rank_lost"), 3U);
   std::uint32_t survivors = 0;
   for (const DistRankReport& rep : r.ranks) {
@@ -290,11 +297,12 @@ TEST(DistPipeline, PostCountRankLossRecountsOrphanedShards) {
   const DistResult r = run_distributed(reads, device, opts, &log);
 
   expect_same_pipeline(r.pipeline, oracle, /*compare_kernel_time=*/false);
-  ASSERT_FALSE(r.failures.rebalances.empty());
+  ASSERT_FALSE(r.pipeline.failures.rebalances.empty());
   // The seed was chosen so nothing fires before phase 1; later phases may
   // fire too, so require at least one post-count event rather than all.
   bool post_count = false;
-  for (const resilience::RebalanceEvent& ev : r.failures.rebalances) {
+  for (const resilience::RebalanceEvent& ev :
+       r.pipeline.failures.rebalances) {
     EXPECT_GE(ev.after_batch, 1U);
     EXPECT_GT(ev.moved_contigs, 0U);
     EXPECT_FALSE(ev.survivors.empty());
@@ -324,8 +332,8 @@ TEST(DistPipeline, PreRoundRankLossRecoversAcrossRounds) {
   const DistResult r = run_distributed(reads, device, opts);
 
   expect_same_pipeline(r.pipeline, oracle, /*compare_kernel_time=*/false);
-  ASSERT_FALSE(r.failures.rebalances.empty());
-  EXPECT_EQ(r.failures.rebalances.front().after_batch, 3U);
+  ASSERT_FALSE(r.pipeline.failures.rebalances.empty());
+  EXPECT_EQ(r.pipeline.failures.rebalances.front().after_batch, 3U);
   bool any_lost = false;
   for (const DistRankReport& rep : r.ranks) any_lost |= rep.lost;
   EXPECT_TRUE(any_lost);
@@ -351,11 +359,11 @@ TEST(DistPipeline, MidRoundDeviceLossAdoptsShardsForLaterRounds) {
   expect_same_pipeline(r.pipeline, oracle, /*compare_kernel_time=*/false);
   EXPECT_TRUE(r.ranks[1].lost);
   EXPECT_EQ(r.ranks[1].shards, 0U);
-  EXPECT_GE(r.failures.devices_lost, 1U);
+  EXPECT_GE(r.pipeline.failures.devices_lost, 1U);
   // run_multi_gpu_resilient records the contig rebalance; the dist driver
   // records the shard adoption incident on top.
-  ASSERT_FALSE(r.failures.rebalances.empty());
-  EXPECT_EQ(r.failures.rebalances.front().lost_rank, 1U);
+  ASSERT_FALSE(r.pipeline.failures.rebalances.empty());
+  EXPECT_EQ(r.pipeline.failures.rebalances.front().lost_rank, 1U);
   EXPECT_GE(count_flight_incidents("rank_lost"), 1U);
   std::uint64_t shards_sum = 0;
   for (const DistRankReport& rep : r.ranks) shards_sum += rep.shards;
@@ -377,6 +385,144 @@ TEST(DistPipeline, ReferencePathMatchesOracleToo) {
     opts.pipeline = popts;
     const DistResult r = run_distributed(reads, device, opts);
     expect_same_pipeline(r.pipeline, oracle, /*compare_kernel_time=*/true);
+  }
+}
+
+/// Asserts two runs' per-rank end states agree: which ranks died and which
+/// shards each survivor owns.
+void expect_same_fleet(const DistResult& got, const DistResult& want) {
+  ASSERT_EQ(got.ranks.size(), want.ranks.size());
+  for (std::size_t r = 0; r < want.ranks.size(); ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(got.ranks[r].rank, want.ranks[r].rank);
+    EXPECT_EQ(got.ranks[r].lost, want.ranks[r].lost);
+    EXPECT_EQ(got.ranks[r].shards, want.ranks[r].shards);
+  }
+}
+
+TEST(DistPipeline, CheckpointResumeIsBitIdenticalAtFourRanks) {
+  const bio::ReadSet& reads = workload_reads();
+  const auto device = simt::DeviceSpec::a100();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "lassm_dist_cp.txt")
+          .string();
+  std::remove(path.c_str());
+
+  // A rank dies before the second round, so the fleet's live set changes
+  // mid-ladder and every later round depends on it.
+  const resilience::FaultPlan plan = plan_with_loss_at_phase(3, 4);
+  DistOptions opts;
+  opts.ranks = 4;
+  opts.pipeline = base_options();
+  opts.pipeline.k_iterations = {21, 33};
+  opts.pipeline.assembly.fault_plan = &plan;
+  const DistResult full = run_distributed(reads, device, opts);
+  bool any_lost = false;
+  for (const DistRankReport& rep : full.ranks) any_lost |= rep.lost;
+  ASSERT_TRUE(any_lost);
+
+  // Interrupted run: the one-round prefix checkpoints after k=21; stamping
+  // the full ladder into its checkpoint gives exactly the state a {21, 33}
+  // run interrupted after its first round leaves behind.
+  opts.pipeline.checkpoint_path = path;
+  {
+    DistOptions round1 = opts;
+    round1.pipeline.k_iterations = {21};
+    run_distributed(reads, device, round1);
+    auto cp = pipeline::load_checkpoint_file(path);
+    ASSERT_TRUE(cp.is_ok());
+    pipeline::PipelineCheckpoint mid = std::move(cp).take();
+    ASSERT_EQ(mid.rounds_done, 1U);
+    EXPECT_EQ(mid.ranks, 4U);
+    mid.k_iterations = {21, 33};
+    ASSERT_TRUE(pipeline::save_checkpoint_file(path, mid));
+  }
+  std::ostringstream log_mid;
+  const DistResult resumed = run_distributed(reads, device, opts, &log_mid);
+  EXPECT_NE(log_mid.str().find("resumed from"), std::string::npos);
+  EXPECT_NE(log_mid.str().find("1/2"), std::string::npos);
+  expect_same_pipeline(resumed.pipeline, full.pipeline,
+                       /*compare_kernel_time=*/true);
+  expect_same_fleet(resumed, full);
+
+  // The checkpoint now holds the finished ladder and the loss; resuming
+  // from it must restore the live set from the recorded losses alone.
+  {
+    auto cp = pipeline::load_checkpoint_file(path);
+    ASSERT_TRUE(cp.is_ok());
+    EXPECT_EQ(cp.value().rounds_done, 2U);
+    EXPECT_FALSE(cp.value().lost_ranks.empty());
+  }
+  std::ostringstream log_done;
+  const DistResult restored =
+      run_distributed(reads, device, opts, &log_done);
+  EXPECT_NE(log_done.str().find("2/2"), std::string::npos);
+  expect_same_pipeline(restored.pipeline, full.pipeline,
+                       /*compare_kernel_time=*/true);
+  expect_same_fleet(restored, full);
+
+  // A one-rank checkpoint of the same ladder is another configuration:
+  // its kernel times are not the fleet makespan.
+  DistOptions one = opts;
+  one.ranks = 1;
+  one.pipeline.assembly.fault_plan = nullptr;
+  std::remove(path.c_str());
+  run_distributed(reads, device, one);
+  std::ostringstream log_mismatch;
+  const DistResult cold = run_distributed(reads, device, opts, &log_mismatch);
+  EXPECT_NE(log_mismatch.str().find("configuration mismatch"),
+            std::string::npos);
+  expect_same_pipeline(cold.pipeline, full.pipeline,
+                       /*compare_kernel_time=*/true);
+  expect_same_fleet(cold, full);
+
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+}
+
+TEST(DistPipeline, OneRankRunIsRunPipeline) {
+  const bio::ReadSet& reads = workload_reads();
+  const auto device = simt::DeviceSpec::a100();
+  pipeline::PipelineOptions popts = base_options(4);
+  popts.k_iterations = {21, 33};
+
+  trace::Tracer local_tracer;
+  pipeline::PipelineOptions local_opts = popts;
+  local_opts.assembly.trace = &local_tracer;
+  std::ostringstream local_log;
+  const pipeline::PipelineResult local =
+      pipeline::run_pipeline(reads, device, local_opts, &local_log);
+
+  trace::Tracer dist_tracer;
+  DistOptions opts;
+  opts.ranks = 1;
+  opts.pipeline = popts;
+  opts.pipeline.assembly.trace = &dist_tracer;
+  std::ostringstream dist_log;
+  const DistResult r = run_distributed(reads, device, opts, &dist_log);
+
+  expect_same_pipeline(r.pipeline, local, /*compare_kernel_time=*/true);
+  EXPECT_FALSE(local_log.str().empty());
+  EXPECT_EQ(dist_log.str(), local_log.str());
+
+  const model::AttributedProfile want = model::build_attributed_profile(
+      local_tracer.attribution().nodes(), device);
+  const model::AttributedProfile got = model::build_attributed_profile(
+      dist_tracer.attribution().nodes(), device);
+  ASSERT_EQ(got.top_down.size(), want.top_down.size());
+  ASSERT_FALSE(want.top_down.empty());
+  EXPECT_EQ(want.top_down.front().path, "pipeline");
+  for (std::size_t i = 0; i < want.top_down.size(); ++i) {
+    SCOPED_TRACE(want.top_down[i].path);
+    EXPECT_EQ(got.top_down[i].path, want.top_down[i].path);
+    for (const trace::CounterVector::Field& f :
+         trace::CounterVector::fields()) {
+      EXPECT_EQ(got.top_down[i].total.*f.member,
+                want.top_down[i].total.*f.member)
+          << f.name;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.top_down[i].total.sim_time_s),
+              std::bit_cast<std::uint64_t>(want.top_down[i].total.sim_time_s));
   }
 }
 

@@ -61,6 +61,8 @@ TEST(Checkpoint, SaveLoadRoundTripsBitExactly) {
   PipelineCheckpoint cp;
   cp.contig_k = 21;
   cp.k_iterations = {21, 33};
+  cp.ranks = 4;
+  cp.lost_ranks = {2, 0};  // loss order, not sorted
   cp.rounds_done = 1;
   cp.kmers_total = 12345;
   cp.kmers_filtered = 67;
@@ -80,6 +82,8 @@ TEST(Checkpoint, SaveLoadRoundTripsBitExactly) {
   const PipelineCheckpoint& out = loaded.value();
   EXPECT_EQ(out.contig_k, cp.contig_k);
   EXPECT_EQ(out.k_iterations, cp.k_iterations);
+  EXPECT_EQ(out.ranks, cp.ranks);
+  EXPECT_EQ(out.lost_ranks, cp.lost_ranks);
   EXPECT_EQ(out.rounds_done, cp.rounds_done);
   EXPECT_EQ(out.kmers_total, cp.kmers_total);
   EXPECT_EQ(out.dbg.nodes, cp.dbg.nodes);
@@ -124,6 +128,23 @@ TEST(Checkpoint, RejectsTruncatedAndCorruptStreams) {
   bad.replace(pos, 13, "rounds_done 9");
   std::istringstream is(bad);
   EXPECT_FALSE(load_checkpoint(is).is_ok());
+
+  // A file of the previous format version is rejected, so a run starts
+  // cold instead of resuming without the rank fields.
+  std::string old = text;
+  old.replace(old.find(" 2\n"), 3, " 1\n");
+  std::istringstream old_is(old);
+  EXPECT_FALSE(load_checkpoint(old_is).is_ok());
+
+  // Lost ranks must be distinct, in range and leave a survivor, or the
+  // resume could not replay them.
+  for (const char* lost : {"ranks 2\nlost 1 2", "ranks 2\nlost 2 0 1",
+                           "ranks 3\nlost 2 1 1", "ranks 0\nlost 0"}) {
+    std::string doctored = text;
+    doctored.replace(doctored.find("ranks 1\nlost 0"), 14, lost);
+    std::istringstream lost_is(doctored);
+    EXPECT_FALSE(load_checkpoint(lost_is).is_ok()) << lost;
+  }
 }
 
 TEST(Checkpoint, MissingFileIsIoErrorNotParseError) {
